@@ -264,14 +264,18 @@ void GeoClient::StartProbing() {
     return;
   }
   GeoTestbed* testbed = testbed_;
+  GeoClient* self = this;
   core::PileusClient* client = client_.get();
   sim::SiteId client_site = site_;
   std::string client_name = site_name_;
-  std::shared_ptr<uint64_t> probes = probes_sent_;
+  std::weak_ptr<bool> alive = alive_;
   probe_task_ = testbed->env_.SchedulePeriodic(
       testbed->options_.probe_check_period_us,
       testbed->options_.probe_check_period_us,
-      [testbed, client, client_site, client_name, probes] {
+      [testbed, self, client, client_site, client_name, alive] {
+        if (alive.expired()) {
+          return;
+        }
         auto& env = testbed->env_;
         const core::TableView& table = client->table();
         for (size_t i = 0; i < table.replicas.size(); ++i) {
@@ -291,12 +295,15 @@ void GeoClient::StartProbing() {
             to_server = faults.OnMessage(client_name, name, env.rng());
             to_client = faults.OnMessage(name, client_name, env.rng());
           }
-          ++*probes;
+          ++self->probes_sent_;
           // A dropped or request-corrupted probe is pure silence: the
           // failure evidence lands only when the probe deadline expires.
           if (to_server.drop || to_server.corrupt || to_client.drop) {
             const MicrosecondCount wait = client->options().probe_timeout_us;
-            env.ScheduleAfter(wait, [client, name, wait] {
+            env.ScheduleAfter(wait, [alive, client, name, wait] {
+              if (alive.expired()) {
+                return;
+              }
               client->monitor().RecordLatency(name, wait);
               client->monitor().RecordFailure(name);
             });
@@ -321,8 +328,11 @@ void GeoClient::StartProbing() {
           // A corrupted reply frame fails the client codec's CRC check:
           // clean kCorruption, counted as a failure.
           const bool reply_corrupted = to_client.corrupt;
-          env.ScheduleAfter(rtt, [client, name, reply, rtt,
+          env.ScheduleAfter(rtt, [alive, client, name, reply, rtt,
                                   reply_corrupted] {
+            if (alive.expired()) {
+              return;
+            }
             client->monitor().RecordLatency(name, rtt);
             const auto* probe_reply = std::get_if<proto::ProbeReply>(&reply);
             if (probe_reply != nullptr && !reply_corrupted) {

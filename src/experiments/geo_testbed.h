@@ -88,7 +88,7 @@ class GeoClient {
   void StopProbing();
 
   // Probe messages issued by the background loop (each one round trip).
-  uint64_t probes_sent() const { return *probes_sent_; }
+  uint64_t probes_sent() const { return probes_sent_; }
 
  private:
   friend class GeoTestbed;
@@ -102,8 +102,10 @@ class GeoClient {
   std::unique_ptr<core::FanoutCaller> fanout_;
   std::unique_ptr<core::PileusClient> client_;
   sim::PeriodicHandle probe_task_;
-  // Shared with the probe event lambdas, which outlive rescheduling.
-  std::shared_ptr<uint64_t> probes_sent_ = std::make_shared<uint64_t>(0);
+  uint64_t probes_sent_ = 0;
+  // Liveness token: every event this client schedules holds a weak_ptr to
+  // it and does nothing once the client is destroyed.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 class GeoTestbed {

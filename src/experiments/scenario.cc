@@ -468,10 +468,11 @@ ScenarioResult RunAuditScenario(const ScenarioOptions& options) {
       us->client().cache_serves() + india->client().cache_serves();
   result.failovers = testbed.failovers();
 
+  // The export sets `contiguous`, so it must run before the flag is read.
   bool contiguous = true;
-  recorder.SetGroundTruth(
-      testbed.primary_node()->ExportTableLog(kTableName, &contiguous),
-      contiguous);
+  std::vector<proto::ObjectVersion> committed =
+      testbed.primary_node()->ExportTableLog(kTableName, &contiguous);
+  recorder.SetGroundTruth(std::move(committed), contiguous);
   result.history = recorder.Snapshot();
   result.report = audit::ConsistencyChecker().Check(result.history);
   if (!options.durable_root.empty() && contiguous) {

@@ -90,7 +90,7 @@ Status BuildSecondary(uint16_t primary_port, uint16_t serve_port,
   replication::ReplicationAgent::Options agent_options;
   agent_options.table = kTable;
   site->agent = std::make_unique<replication::ReplicationAgent>(
-      site->node->FindTablet(kTable, ""), agent_options);
+      site->node.get(), agent_options);
   const auto sync = [channel = site->pull_channel.get()](
                         const proto::SyncRequest& request) {
     return SyncOverTcp(*channel, request);
@@ -171,12 +171,16 @@ ScenarioResult RunTcpAuditScenario(const ScenarioOptions& options) {
     return setup_failed("primary durable open", opened.status());
   }
   std::unique_ptr<persist::DurableTablet> durable = std::move(opened).value();
+  storage::StorageNode primary(kPrimaryName, "tcp-testbed", clock);
+  if (Status attached = primary.AttachTablet(kTable, durable.get());
+      !attached.ok()) {
+    return setup_failed("primary attach", attached);
+  }
   persist::GroupCommitConfig group_commit;
   group_commit.enabled = true;
   group_commit.max_delay_us = 500;  // Wall-clock runs are short; a lone
                                     // write should not stall 2 ms per ack.
-  persist::DurableStorageService primary_service(kTable, durable.get(),
-                                                 group_commit);
+  persist::DurableStorageService primary_service(&primary, group_commit);
   net::TcpServer primary_server;
   Status status = primary_server.StartAsync(
       0, [service = &primary_service](
@@ -342,9 +346,11 @@ ScenarioResult RunTcpAuditScenario(const ScenarioOptions& options) {
   (void)primary_service.SyncNow();
   result.cache_served = us->cache_serves() + india->cache_serves();
 
+  // The export sets `contiguous`, so it must run before the flag is read.
   bool contiguous = true;
-  recorder.SetGroundTruth(
-      durable->tablet().ExportCommittedVersions(&contiguous), contiguous);
+  std::vector<proto::ObjectVersion> committed =
+      primary.ExportTableLog(kTable, &contiguous);
+  recorder.SetGroundTruth(std::move(committed), contiguous);
   result.history = recorder.Snapshot();
   result.report = audit::ConsistencyChecker().Check(result.history);
   if (contiguous) {

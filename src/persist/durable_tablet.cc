@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <stdio.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <utility>
@@ -24,12 +25,13 @@ Status Errno(const char* what, const std::string& path) {
 }
 
 // Checkpoint payload: varint version count, versions, the tablet's high
-// timestamp, then the tablet's key range (appended by the dynamic-tablet
-// work; checkpoints written before it simply end after the timestamp, and
-// the decoder treats the range as optional). File: magic + fixed32 length +
-// fixed32 crc + payload, written to a temp file and renamed into place.
+// timestamp, then the tablet's key range and its number of split children
+// (older checkpoints end after the timestamp or after the range, and the
+// decoder treats both as optional). File: magic + fixed32 length + fixed32
+// crc + payload, written to a temp file and renamed into place.
 std::string EncodeCheckpoint(const std::vector<proto::ObjectVersion>& versions,
-                             const Timestamp& high, const KeyRange& range) {
+                             const Timestamp& high, const KeyRange& range,
+                             uint64_t splits) {
   Encoder enc;
   enc.PutVarint64(versions.size());
   for (const proto::ObjectVersion& v : versions) {
@@ -41,6 +43,7 @@ std::string EncodeCheckpoint(const std::vector<proto::ObjectVersion>& versions,
   enc.PutTimestamp(high);
   enc.PutLengthPrefixed(range.begin);
   enc.PutLengthPrefixed(range.end);
+  enc.PutVarint64(splits);
   return enc.Release();
 }
 
@@ -99,6 +102,9 @@ struct CheckpointData {
   // seed options were written down).
   bool has_range = false;
   KeyRange range;
+  // Split children spawned before the checkpoint (their split records went
+  // with the WAL it truncated).
+  uint64_t splits = 0;
 };
 
 // Loads a checkpoint; a missing file yields empty data (fresh tablet).
@@ -167,6 +173,9 @@ Result<CheckpointData> LoadCheckpoint(const std::string& path) {
     PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&data.range.begin));
     PILEUS_RETURN_IF_ERROR(dec.GetLengthPrefixedString(&data.range.end));
     data.has_range = true;
+  }
+  if (dec.remaining() > 0) {
+    PILEUS_RETURN_IF_ERROR(dec.GetVarint64(&data.splits));
   }
   return data;
 }
@@ -241,9 +250,10 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
   if (!wal.ok()) {
     return wal.status();
   }
+  const size_t splits = loaded->splits + recovery.split_keys.size();
   return std::unique_ptr<DurableTablet>(
       new DurableTablet(std::move(options), std::move(tablet),
-                        std::move(wal).value(), recovery));
+                        std::move(wal).value(), recovery, splits));
 }
 
 Result<proto::PutReply> DurableTablet::HandlePut(std::string_view key,
@@ -287,7 +297,7 @@ Status DurableTablet::ApplySync(const proto::SyncReply& reply) {
     PILEUS_RETURN_IF_ERROR(wal_.AppendVersion(version));
   }
   PILEUS_RETURN_IF_ERROR(wal_.AppendHeartbeat(tablet_->high_timestamp()));
-  if (options_.sync_every_append) {
+  if (options_.sync_every_append || !reply.versions.empty()) {
     PILEUS_RETURN_IF_ERROR(wal_.Sync());
   }
   return MaybeAutoCheckpoint();
@@ -323,7 +333,7 @@ Status DurableTablet::Checkpoint() {
   }
   const std::string payload = EncodeCheckpoint(
       tablet_->store().LatestVersionsAfter(Timestamp::Zero()),
-      tablet_->high_timestamp(), tablet_->range());
+      tablet_->high_timestamp(), tablet_->range(), splits_);
   PILEUS_RETURN_IF_ERROR(
       WriteFileAtomically(CheckpointPath(), FrameCheckpoint(payload)));
   PILEUS_RETURN_IF_ERROR(wal_.Reset());
@@ -334,14 +344,27 @@ Status DurableTablet::Checkpoint() {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<DurableTablet>> DurableTablet::Split(
-    std::string_view split_key, const std::string& child_directory) {
+Result<std::unique_ptr<storage::TabletBackend>> DurableTablet::Split(
+    std::string_view split_key) {
   if (!tablet_->range().IsSplittable(split_key)) {
     return Status(StatusCode::kInvalidArgument,
                   "split key " + std::string(split_key) +
                       " is not strictly inside " +
                       tablet_->range().ToString());
   }
+  const std::string child_directory = ChildDirectory(splits_);
+  if (::mkdir(child_directory.c_str(), 0755) != 0 && errno != EEXIST) {
+    return Errno("mkdir", child_directory);
+  }
+  // An orphan of an earlier crash mid-split may hold a stale WAL; it must
+  // not replay over the checkpoint written below.
+  Result<WriteAheadLog> child_wal =
+      WriteAheadLog::Open(child_directory + "/wal.log");
+  if (!child_wal.ok()) {
+    return child_wal.status();
+  }
+  PILEUS_RETURN_IF_ERROR(child_wal->Reset());
+  PILEUS_RETURN_IF_ERROR(child_wal->Sync());
 
   // Step 1: make the child's half durable in its own directory BEFORE the
   // parent journals the split. Until the split record lands, the parent
@@ -356,7 +379,7 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Split(
     }
   }
   const std::string child_payload = EncodeCheckpoint(
-      child_versions, tablet_->high_timestamp(), child_range);
+      child_versions, tablet_->high_timestamp(), child_range, /*splits=*/0);
   PILEUS_RETURN_IF_ERROR(WriteFileAtomically(
       child_directory + "/checkpoint.db", FrameCheckpoint(child_payload)));
 
@@ -364,6 +387,7 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Split(
   // replays the record and shrinks to [begin, split_key).
   PILEUS_RETURN_IF_ERROR(wal_.AppendSplit(split_key));
   PILEUS_RETURN_IF_ERROR(wal_.Sync());
+  ++splits_;
 
   // Step 3: split the in-memory tablet; the upper sibling keeps the parent's
   // roles, high timestamp, and update-log suffix for its half.
@@ -379,14 +403,30 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Split(
   child_options.tablet.is_primary = (*upper)->is_primary();
   child_options.tablet.is_sync_replica = (*upper)->is_sync_replica();
 
-  Result<WriteAheadLog> child_wal =
-      WriteAheadLog::Open(child_directory + "/wal.log");
-  if (!child_wal.ok()) {
-    return child_wal.status();
-  }
-  return std::unique_ptr<DurableTablet>(
+  return std::unique_ptr<storage::TabletBackend>(
       new DurableTablet(std::move(child_options), std::move(upper).value(),
-                        std::move(child_wal).value(), RecoveryInfo{}));
+                        std::move(child_wal).value(), RecoveryInfo{},
+                        /*splits=*/0));
+}
+
+Result<std::vector<std::unique_ptr<storage::TabletBackend>>>
+DurableTablet::OpenSplitChildren() {
+  std::vector<std::unique_ptr<storage::TabletBackend>> children;
+  for (size_t n = 0; n < splits_; ++n) {
+    Options options = options_;
+    options.directory = ChildDirectory(n);
+    // The child's checkpoint (fsynced before its split record) holds its
+    // true range; the inherited one is only a seed.
+    Result<std::unique_ptr<DurableTablet>> opened =
+        Open(std::move(options), tablet_->clock());
+    if (!opened.ok()) {
+      return Status(opened.status().code(),
+                    "reopening split child " + ChildDirectory(n) + ": " +
+                        opened.status().message());
+    }
+    children.push_back(std::move(opened).value());
+  }
+  return children;
 }
 
 Status DurableTablet::MaybeAutoCheckpoint() {

@@ -3,13 +3,19 @@
 #include <chrono>
 
 #include "src/common/logging.h"
+#include "src/storage/storage_node.h"
 
 namespace pileus::replication {
+
+Timestamp ReplicationAgent::HighTimestamp() const {
+  return node_ != nullptr ? node_->TableHighTimestamp(options_.table)
+                          : target_->high_timestamp();
+}
 
 proto::SyncRequest ReplicationAgent::NextRequest() const {
   proto::SyncRequest request;
   request.table = options_.table;
-  request.after = target_->high_timestamp();
+  request.after = HighTimestamp();
   request.max_versions = options_.max_versions_per_pull;
   return request;
 }
@@ -34,7 +40,13 @@ void ReplicationAgent::EnableTelemetry(telemetry::MetricsRegistry* registry,
 }
 
 bool ReplicationAgent::OnReply(const proto::SyncReply& reply) {
-  target_->ApplySync(reply);
+  if (node_ == nullptr) {
+    target_->ApplySync(reply);
+  } else if (const Status applied = node_->ApplySync(options_.table, reply);
+             !applied.ok()) {
+    PILEUS_LOG(kWarning) << "applying a sync reply for table '"
+                         << options_.table << "': " << applied;
+  }
   versions_applied_ += reply.versions.size();
   if (reply.config_epoch > last_config_epoch_) {
     last_config_epoch_ = reply.config_epoch;
@@ -53,7 +65,7 @@ bool ReplicationAgent::OnReply(const proto::SyncReply& reply) {
     if (!reply.has_more) {
       instruments_.pulls->Increment();
     }
-    instruments_.high_timestamp_us->Set(target_->high_timestamp().physical_us);
+    instruments_.high_timestamp_us->Set(HighTimestamp().physical_us);
   }
   return reply.has_more;
 }

@@ -28,6 +28,10 @@
 #include "src/storage/tablet.h"
 #include "src/telemetry/metrics.h"
 
+namespace pileus::storage {
+class StorageNode;
+}  // namespace pileus::storage
+
 namespace pileus::replication {
 
 class ReplicationAgent {
@@ -40,8 +44,15 @@ class ReplicationAgent {
     uint32_t max_versions_per_pull = 0;
   };
 
+  // Replicates into `target` directly; callers that share the tablet with
+  // other threads synchronize (the simulator is single-threaded).
   ReplicationAgent(storage::Tablet* target, Options options)
       : target_(target), options_(std::move(options)) {}
+  // Replicates `options.table` into `node`'s tablets through the node: each
+  // reply is applied under its request lock, so concurrent readers never
+  // see a half-applied batch, and durable tablets journal it.
+  ReplicationAgent(storage::StorageNode* node, Options options)
+      : node_(node), options_(std::move(options)) {}
 
   // The sync request to issue next: everything above the target's current
   // high timestamp.
@@ -51,6 +62,7 @@ class ReplicationAgent {
   // indicated more data is pending (caller should issue another round).
   bool OnReply(const proto::SyncReply& reply);
 
+  // Null for an agent that replicates through a node.
   storage::Tablet* target() { return target_; }
   const Options& options() const { return options_; }
 
@@ -81,7 +93,11 @@ class ReplicationAgent {
     telemetry::Gauge* high_timestamp_us = nullptr;
   };
 
-  storage::Tablet* target_;  // Not owned.
+  // The target's high timestamp: what the next pull asks above.
+  Timestamp HighTimestamp() const;
+
+  storage::Tablet* target_ = nullptr;     // Not owned.
+  storage::StorageNode* node_ = nullptr;  // Not owned.
   Options options_;
   uint64_t pulls_completed_ = 0;
   uint64_t versions_applied_ = 0;

@@ -41,21 +41,54 @@ StorageNode::StorageNode(std::string name, std::string site, Clock* clock)
 Status StorageNode::AddTablet(std::string_view table,
                               Tablet::Options options) {
   std::lock_guard<std::mutex> lock(mu_);
+  Hosted hosted;
+  hosted.owned_tablet = std::make_unique<Tablet>(std::move(options), clock_);
+  hosted.tablet = hosted.owned_tablet.get();
+  return HostLocked(table, std::move(hosted));
+}
+
+Status StorageNode::AttachTablet(std::string_view table,
+                                 TabletBackend* backend) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return AttachLocked(table, backend, nullptr);
+}
+
+Status StorageNode::AttachLocked(std::string_view table,
+                                 TabletBackend* backend,
+                                 std::unique_ptr<TabletBackend> owned) {
+  Hosted hosted;
+  hosted.tablet = &backend->tablet();
+  hosted.backend = backend;
+  hosted.owned_backend = std::move(owned);
+  PILEUS_RETURN_IF_ERROR(HostLocked(table, std::move(hosted)));
+  Result<std::vector<std::unique_ptr<TabletBackend>>> children =
+      backend->OpenSplitChildren();
+  if (!children.ok()) {
+    return children.status();
+  }
+  for (std::unique_ptr<TabletBackend>& child : children.value()) {
+    TabletBackend* raw = child.get();
+    PILEUS_RETURN_IF_ERROR(AttachLocked(table, raw, std::move(child)));
+  }
+  return Status::Ok();
+}
+
+Status StorageNode::HostLocked(std::string_view table, Hosted hosted) {
   auto& list = tablets_[std::string(table)];
-  for (const auto& existing : list) {
-    if (existing->range().Overlaps(options.range)) {
+  const KeyRange& range = hosted.tablet->range();
+  for (const Hosted& existing : list) {
+    if (existing.tablet->range().Overlaps(range)) {
       return Status(StatusCode::kInvalidArgument,
-                    "tablet range " + options.range.ToString() +
+                    "tablet range " + range.ToString() +
                         " overlaps existing " +
-                        existing->range().ToString());
+                        existing.tablet->range().ToString());
     }
   }
-  list.push_back(std::make_unique<Tablet>(std::move(options), clock_));
-  std::sort(list.begin(), list.end(),
-            [](const std::unique_ptr<Tablet>& a,
-               const std::unique_ptr<Tablet>& b) {
-              return a->range().begin < b->range().begin;
-            });
+  list.push_back(std::move(hosted));
+  std::sort(list.begin(), list.end(), [](const Hosted& a, const Hosted& b) {
+    return a.tablet->range().begin < b.tablet->range().begin;
+  });
+  RefreshTabletGaugesLocked();
   return Status::Ok();
 }
 
@@ -65,8 +98,8 @@ void StorageNode::SetPrimaryForTable(std::string_view table, bool is_primary) {
   if (it == tablets_.end()) {
     return;
   }
-  for (auto& tablet : it->second) {
-    tablet->SetPrimary(is_primary);
+  for (Hosted& hosted : it->second) {
+    hosted.tablet->SetPrimary(is_primary);
   }
 }
 
@@ -77,8 +110,8 @@ void StorageNode::SetSyncReplicaForTable(std::string_view table,
   if (it == tablets_.end()) {
     return;
   }
-  for (auto& tablet : it->second) {
-    tablet->SetSyncReplica(is_sync);
+  for (Hosted& hosted : it->second) {
+    hosted.tablet->SetSyncReplica(is_sync);
   }
 }
 
@@ -148,14 +181,16 @@ void StorageNode::ApplyTabletMapRolesLocked(const tablets::TabletMap& map) {
   if (it == tablets_.end()) {
     return;
   }
-  for (auto& tablet : it->second) {
-    const tablets::TabletInfo* entry = map.OwnerOf(tablet->range().begin);
+  for (Hosted& hosted : it->second) {
+    const tablets::TabletInfo* entry =
+        map.OwnerOf(hosted.tablet->range().begin);
     if (entry == nullptr) {
       continue;
     }
     const bool is_primary = entry->config.primary == name_;
-    tablet->SetPrimary(is_primary);
-    tablet->SetSyncReplica(!is_primary && entry->config.IsSyncMember(name_));
+    hosted.tablet->SetPrimary(is_primary);
+    hosted.tablet->SetSyncReplica(!is_primary &&
+                                  entry->config.IsSyncMember(name_));
   }
 }
 
@@ -199,22 +234,31 @@ Status StorageNode::SplitTabletLocked(std::string_view table,
     return Status(StatusCode::kNotFound,
                   "node " + name_ + " hosts no tablets of table");
   }
-  for (auto& tablet : it->second) {
-    if (!tablet->range().Contains(split_key)) {
+  for (Hosted& hosted : it->second) {
+    if (!hosted.tablet->range().Contains(split_key)) {
       continue;
     }
-    Result<std::unique_ptr<Tablet>> upper = tablet->Split(split_key);
-    if (!upper.ok()) {
-      return upper.status();
+    // A durable tablet splits through its backend, which makes the child
+    // durable before it records the split.
+    Hosted upper;
+    if (hosted.backend != nullptr) {
+      Result<std::unique_ptr<TabletBackend>> child =
+          hosted.backend->Split(split_key);
+      if (!child.ok()) {
+        return child.status();
+      }
+      upper.owned_backend = std::move(child).value();
+      upper.backend = upper.owned_backend.get();
+      upper.tablet = &upper.backend->tablet();
+    } else {
+      Result<std::unique_ptr<Tablet>> half = hosted.tablet->Split(split_key);
+      if (!half.ok()) {
+        return half.status();
+      }
+      upper.owned_tablet = std::move(half).value();
+      upper.tablet = upper.owned_tablet.get();
     }
-    it->second.push_back(std::move(upper).value());
-    std::sort(it->second.begin(), it->second.end(),
-              [](const std::unique_ptr<Tablet>& a,
-                 const std::unique_ptr<Tablet>& b) {
-                return a->range().begin < b->range().begin;
-              });
-    RefreshTabletGaugesLocked();
-    return Status::Ok();
+    return HostLocked(table, std::move(upper));
   }
   return Status(StatusCode::kNotFound,
                 "no hosted tablet contains the split key");
@@ -229,7 +273,7 @@ Status StorageNode::RemoveTablet(std::string_view table,
                   "node " + name_ + " hosts no tablets of table");
   }
   for (auto t = it->second.begin(); t != it->second.end(); ++t) {
-    if ((*t)->range() == range) {
+    if (t->tablet->range() == range) {
       it->second.erase(t);
       if (it->second.empty()) {
         tablets_.erase(it);
@@ -251,7 +295,8 @@ std::vector<StorageNode::LocalTabletStat> StorageNode::LocalTabletStats(
     return out;
   }
   out.reserve(it->second.size());
-  for (const auto& tablet : it->second) {
+  for (const Hosted& hosted : it->second) {
+    const Tablet* tablet = hosted.tablet;
     LocalTabletStat stat;
     stat.range = tablet->range();
     stat.is_primary = tablet->is_primary();
@@ -291,9 +336,9 @@ proto::Message StorageNode::HandleTabletMapLocked(
       auto hosted = tablets_.find(request.table);
       if (hosted != tablets_.end()) {
         for (tablets::TabletInfo& entry : reply.map.tablets) {
-          for (const auto& tablet : hosted->second) {
-            if (tablet->range() == entry.range) {
-              entry.size_bytes = tablet->ApproximateBytes();
+          for (const Hosted& local : hosted->second) {
+            if (local.tablet->range() == entry.range) {
+              entry.size_bytes = local.tablet->ApproximateBytes();
             }
           }
         }
@@ -312,7 +357,8 @@ proto::Message StorageNode::HandleTabletMapLocked(
   reply.map.table = std::string(request.table);
   reply.map.version = 0;
   const auto config_it = configs_.find(request.table);
-  for (const auto& tablet : hosted->second) {
+  for (const Hosted& local : hosted->second) {
+    const Tablet* tablet = local.tablet;
     tablets::TabletInfo entry;
     entry.range = tablet->range();
     if (config_it != configs_.end()) {
@@ -336,9 +382,9 @@ void StorageNode::ApplyConfigRolesLocked(const reconfig::ConfigEpoch& config,
   }
   const bool is_primary = config.primary == name_;
   const bool is_sync = !is_primary && config.IsSyncMember(name_);
-  for (auto& tablet : it->second) {
-    tablet->SetPrimary(is_primary);
-    tablet->SetSyncReplica(is_sync);
+  for (Hosted& hosted : it->second) {
+    hosted.tablet->SetPrimary(is_primary);
+    hosted.tablet->SetSyncReplica(is_sync);
   }
 }
 
@@ -441,12 +487,13 @@ proto::Message StorageNode::HandleConfigLocked(
   reply.high_timestamp = Timestamp::Max();
   bool any = false;
   if (auto it = tablets_.find(request.table); it != tablets_.end()) {
-    for (const auto& tablet : it->second) {
+    for (const Hosted& hosted : it->second) {
       any = true;
       reply.durable_timestamp = MaxTimestamp(
-          reply.durable_timestamp, tablet->update_log().LastTimestamp());
+          reply.durable_timestamp,
+          hosted.tablet->update_log().LastTimestamp());
       reply.high_timestamp =
-          std::min(reply.high_timestamp, tablet->high_timestamp());
+          std::min(reply.high_timestamp, hosted.tablet->high_timestamp());
     }
   }
   if (!any) {
@@ -455,17 +502,23 @@ proto::Message StorageNode::HandleConfigLocked(
   return reply;
 }
 
-Tablet* StorageNode::FindTablet(std::string_view table, std::string_view key) {
+StorageNode::Hosted* StorageNode::FindHostedLocked(std::string_view table,
+                                                   std::string_view key) {
   auto it = tablets_.find(table);
   if (it == tablets_.end()) {
     return nullptr;
   }
-  for (auto& tablet : it->second) {
-    if (tablet->range().Contains(key)) {
-      return tablet.get();
+  for (Hosted& hosted : it->second) {
+    if (hosted.tablet->range().Contains(key)) {
+      return &hosted;
     }
   }
   return nullptr;
+}
+
+Tablet* StorageNode::FindTablet(std::string_view table, std::string_view key) {
+  Hosted* hosted = FindHostedLocked(table, key);
+  return hosted == nullptr ? nullptr : hosted->tablet;
 }
 
 const Tablet* StorageNode::FindTablet(std::string_view table,
@@ -480,8 +533,8 @@ std::vector<Tablet*> StorageNode::TabletsForTable(std::string_view table) {
     return out;
   }
   out.reserve(it->second.size());
-  for (auto& tablet : it->second) {
-    out.push_back(tablet.get());
+  for (Hosted& hosted : it->second) {
+    out.push_back(hosted.tablet);
   }
   return out;
 }
@@ -493,6 +546,74 @@ Timestamp StorageNode::HighTimestamp(std::string_view table,
   return tablet == nullptr ? Timestamp::Zero() : tablet->high_timestamp();
 }
 
+Timestamp StorageNode::MinHighTimestamp(const std::vector<Hosted>& hosted) {
+  if (hosted.empty()) {
+    return Timestamp::Zero();
+  }
+  Timestamp high = Timestamp::Max();
+  for (const Hosted& entry : hosted) {
+    high = std::min(high, entry.tablet->high_timestamp());
+  }
+  return high;
+}
+
+Timestamp StorageNode::TableHighTimestamp(std::string_view table) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tablets_.find(table);
+  return it == tablets_.end() ? Timestamp::Zero()
+                               : MinHighTimestamp(it->second);
+}
+
+Status StorageNode::ApplySync(std::string_view table,
+                              const proto::SyncReply& reply) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = tablets_.find(table);
+  if (it == tablets_.end()) {
+    return Status(StatusCode::kNotFound,
+                  "node " + name_ + " hosts no tablets of table");
+  }
+  const bool whole_table = it->second.size() == 1;
+  for (Hosted& hosted : it->second) {
+    proto::SyncReply part;
+    if (!whole_table) {
+      part.heartbeat = reply.heartbeat;
+      part.has_more = reply.has_more;
+      for (const proto::ObjectVersion& version : reply.versions) {
+        if (hosted.tablet->range().Contains(version.key)) {
+          part.versions.push_back(version);
+        }
+      }
+    }
+    const proto::SyncReply& applied = whole_table ? reply : part;
+    if (hosted.backend != nullptr) {
+      PILEUS_RETURN_IF_ERROR(hosted.backend->ApplySync(applied));
+    } else {
+      hosted.tablet->ApplySync(applied);
+    }
+  }
+  return Status::Ok();
+}
+
+Status StorageNode::SyncBackends() {
+  return ForEachBackend(&TabletBackend::Sync);
+}
+
+Status StorageNode::CheckpointBackends() {
+  return ForEachBackend(&TabletBackend::Checkpoint);
+}
+
+Status StorageNode::ForEachBackend(Status (TabletBackend::*step)()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [table, list] : tablets_) {
+    for (Hosted& hosted : list) {
+      if (hosted.backend != nullptr) {
+        PILEUS_RETURN_IF_ERROR((hosted.backend->*step)());
+      }
+    }
+  }
+  return Status::Ok();
+}
+
 monitoring::NodeCondition StorageNode::SelfCondition(std::string_view table,
                                                      std::string_view tenant) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -502,11 +623,7 @@ monitoring::NodeCondition StorageNode::SelfCondition(std::string_view table,
   if (it != tablets_.end() && !it->second.empty()) {
     // Minimum high timestamp across the table's tablets, like a probe reply:
     // the conservative bound a monitor can rely on for any key.
-    Timestamp high = Timestamp::Max();
-    for (const auto& tablet : it->second) {
-      high = std::min(high, tablet->high_timestamp());
-    }
-    cond.high_timestamp = high;
+    cond.high_timestamp = MinHighTimestamp(it->second);
     cond.high_age_us = 0;  // Measured this instant.
   }
   if (admission_ != nullptr) {
@@ -522,10 +639,10 @@ std::vector<proto::ObjectVersion> StorageNode::ExportTableLog(
   bool all_contiguous = true;
   std::vector<proto::ObjectVersion> merged;
   if (auto it = tablets_.find(table); it != tablets_.end()) {
-    for (const auto& tablet : it->second) {
+    for (const Hosted& hosted : it->second) {
       bool tablet_contiguous = true;
       std::vector<proto::ObjectVersion> part =
-          tablet->ExportCommittedVersions(&tablet_contiguous);
+          hosted.tablet->ExportCommittedVersions(&tablet_contiguous);
       all_contiguous = all_contiguous && tablet_contiguous;
       if (merged.empty()) {
         merged = std::move(part);
@@ -609,8 +726,8 @@ void StorageNode::RefreshTabletGaugesLocked() {
   int64_t bytes = 0;
   for (const auto& [table, list] : tablets_) {
     count += static_cast<int64_t>(list.size());
-    for (const auto& tablet : list) {
-      bytes += static_cast<int64_t>(tablet->ApproximateBytes());
+    for (const Hosted& hosted : list) {
+      bytes += static_cast<int64_t>(hosted.tablet->ApproximateBytes());
     }
   }
   instruments_.tablet_count->Set(count);
@@ -672,10 +789,10 @@ void StorageNode::CountRequestLocked(const proto::Message& request,
   int64_t log_entries = 0;
   bool any = false;
   for (const auto& [table, list] : tablets_) {
-    for (const auto& tablet : list) {
+    for (const Hosted& hosted : list) {
       any = true;
-      high = std::min(high, tablet->high_timestamp());
-      log_entries += static_cast<int64_t>(tablet->update_log().size());
+      high = std::min(high, hosted.tablet->high_timestamp());
+      log_entries += static_cast<int64_t>(hosted.tablet->update_log().size());
     }
   }
   instruments_.high_timestamp_us->Set(any ? high.physical_us : 0);
@@ -777,7 +894,7 @@ void StorageNode::StampQueueDelayLocked(const proto::Message& request,
 
 proto::Message StorageNode::Handle(const proto::Message& request) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++requests_served_;
+  requests_served_.fetch_add(1, std::memory_order_relaxed);
   AdmitDecision decision;
   if (admission_ != nullptr) {
     if (std::optional<proto::Message> rejection =
@@ -814,15 +931,18 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
             CheckTabletRoutingLocked(put->table, put->key, /*write=*/true)) {
       return std::move(*fence);
     }
-    Tablet* tablet = FindTablet(put->table, put->key);
-    if (tablet == nullptr) {
+    Hosted* hosted = FindHostedLocked(put->table, put->key);
+    if (hosted == nullptr) {
       return MakeError(StatusCode::kWrongNode,
                        "node " + name_ + " has no tablet for key");
     }
     if (Status writable = CheckWritableLocked(put->table); !writable.ok()) {
       return MakeError(writable);
     }
-    Result<proto::PutReply> reply = tablet->HandlePut(put->key, put->value);
+    Result<proto::PutReply> reply =
+        hosted->backend != nullptr
+            ? hosted->backend->HandlePut(put->key, put->value)
+            : hosted->tablet->HandlePut(put->key, put->value);
     if (!reply.ok()) {
       return MakeError(reply.status());
     }
@@ -833,15 +953,17 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
             CheckTabletRoutingLocked(del->table, del->key, /*write=*/true)) {
       return std::move(*fence);
     }
-    Tablet* tablet = FindTablet(del->table, del->key);
-    if (tablet == nullptr) {
+    Hosted* hosted = FindHostedLocked(del->table, del->key);
+    if (hosted == nullptr) {
       return MakeError(StatusCode::kWrongNode,
                        "node " + name_ + " has no tablet for key");
     }
     if (Status writable = CheckWritableLocked(del->table); !writable.ok()) {
       return MakeError(writable);
     }
-    Result<proto::PutReply> reply = tablet->HandleDelete(del->key);
+    Result<proto::PutReply> reply =
+        hosted->backend != nullptr ? hosted->backend->HandleDelete(del->key)
+                                   : hosted->tablet->HandleDelete(del->key);
     if (!reply.ok()) {
       return MakeError(reply.status());
     }
@@ -881,7 +1003,8 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     reply.high_timestamp = Timestamp::Max();
     reply.served_by_primary = true;
     const KeyRange wanted{range->begin, range->end};
-    for (const auto& tablet : it->second) {
+    for (const Hosted& hosted : it->second) {
+      const Tablet* tablet = hosted.tablet;
       if (!tablet->range().Overlaps(wanted) && !wanted.IsEmpty()) {
         continue;
       }
@@ -920,7 +1043,8 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     proto::ProbeReply reply;
     reply.high_timestamp = Timestamp::Max();
     reply.is_primary = true;
-    for (const auto& tablet : it->second) {
+    for (const Hosted& hosted : it->second) {
+      const Tablet* tablet = hosted.tablet;
       const Timestamp high = tablet->authoritative()
                                  ? MaxTimestamp(tablet->high_timestamp(),
                                                 Timestamp{clock_->NowMicros() - 1,
@@ -932,67 +1056,64 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     return reply;
   }
   if (const auto* sync = std::get_if<proto::SyncRequest>(&request)) {
-    // Sync requests address a whole table; with multiple tablets the reply
-    // covers the tablet owning the lowest range (agents sync per tablet via
-    // direct tablet access; the RPC path supports single-tablet tables).
     auto it = tablets_.find(sync->table);
     if (it == tablets_.end() || it->second.empty()) {
       return MakeError(StatusCode::kNotFound,
                        "node " + name_ + " hosts no tablets of table");
     }
-    if (sync->has_range) {
-      // Per-tablet pull (migration catch-up / multi-tablet replication).
-      // Sync is control traffic and is deliberately never fenced by the
-      // tablet map — the migration drain pulls from a source that is
-      // already fenced. The node's tablets may be finer than the requested
-      // range (e.g. children of a split the map never adopted), so every
-      // overlapping tablet contributes and the merged heartbeat is the
-      // lowest bound any contributor guarantees complete.
-      const KeyRange wanted{sync->range_begin, sync->range_end};
-      std::vector<proto::SyncReply> parts;
-      for (const auto& tablet : it->second) {
-        if (tablet->range().Overlaps(wanted)) {
-          parts.push_back(tablet->HandleSync(sync->after, sync->max_versions));
-        }
+    // A pull covers the requested range, or the whole table without one.
+    // Sync is control traffic and is deliberately never fenced by the
+    // tablet map — the migration drain pulls from a source that is
+    // already fenced. The node's tablets may be finer than the requested
+    // range (split children, whether or not a map adopted them), so every
+    // overlapping tablet contributes and the merged heartbeat is the
+    // lowest bound any contributor guarantees complete.
+    const KeyRange wanted = sync->has_range
+                                ? KeyRange{sync->range_begin, sync->range_end}
+                                : KeyRange::All();
+    std::vector<proto::SyncReply> parts;
+    for (const Hosted& hosted : it->second) {
+      if (hosted.tablet->range().Overlaps(wanted)) {
+        parts.push_back(
+            hosted.tablet->HandleSync(sync->after, sync->max_versions));
       }
-      if (parts.empty()) {
-        return MakeError(StatusCode::kNotFound,
-                         "node " + name_ + " hosts no tablet for range");
-      }
-      if (parts.size() == 1) {
-        return std::move(parts.front());
-      }
-      proto::SyncReply merged;
-      Timestamp bound = parts.front().heartbeat;
-      for (const proto::SyncReply& part : parts) {
-        if (part.heartbeat < bound) {
-          bound = part.heartbeat;
-        }
-        merged.has_more = merged.has_more || part.has_more;
-      }
-      for (proto::SyncReply& part : parts) {
-        for (proto::ObjectVersion& version : part.versions) {
-          if (!wanted.Contains(version.key) && !wanted.IsEmpty()) {
-            continue;  // A coarser tablet may spill neighbouring keys.
-          }
-          if (version.timestamp <= bound) {
-            merged.versions.push_back(std::move(version));
-          } else {
-            // Complete only up to `bound`: re-pulled next round once every
-            // contributor has caught up past it.
-            merged.has_more = true;
-          }
-        }
-      }
-      std::sort(merged.versions.begin(), merged.versions.end(),
-                [](const proto::ObjectVersion& a,
-                   const proto::ObjectVersion& b) {
-                  return a.timestamp < b.timestamp;
-                });
-      merged.heartbeat = bound;
-      return merged;
     }
-    return it->second.front()->HandleSync(sync->after, sync->max_versions);
+    if (parts.empty()) {
+      return MakeError(StatusCode::kNotFound,
+                       "node " + name_ + " hosts no tablet for range");
+    }
+    if (parts.size() == 1) {
+      return std::move(parts.front());
+    }
+    proto::SyncReply merged;
+    Timestamp bound = parts.front().heartbeat;
+    for (const proto::SyncReply& part : parts) {
+      if (part.heartbeat < bound) {
+        bound = part.heartbeat;
+      }
+      merged.has_more = merged.has_more || part.has_more;
+    }
+    for (proto::SyncReply& part : parts) {
+      for (proto::ObjectVersion& version : part.versions) {
+        if (!wanted.Contains(version.key) && !wanted.IsEmpty()) {
+          continue;  // A coarser tablet may spill neighbouring keys.
+        }
+        if (version.timestamp <= bound) {
+          merged.versions.push_back(std::move(version));
+        } else {
+          // Complete only up to `bound`: re-pulled next round once every
+          // contributor has caught up past it.
+          merged.has_more = true;
+        }
+      }
+    }
+    std::sort(merged.versions.begin(), merged.versions.end(),
+              [](const proto::ObjectVersion& a,
+                 const proto::ObjectVersion& b) {
+                return a.timestamp < b.timestamp;
+              });
+    merged.heartbeat = bound;
+    return merged;
   }
   if (const auto* get_at = std::get_if<proto::GetAtRequest>(&request)) {
     if (auto fence = CheckTabletRoutingLocked(get_at->table, get_at->key,
@@ -1025,20 +1146,31 @@ proto::Message StorageNode::HandleLocked(const proto::Message& request) {
     if (Status writable = CheckWritableLocked(commit->table); !writable.ok()) {
       return MakeError(writable);
     }
-    // All writes must land in one tablet for atomic commit; multi-tablet
-    // transactions are out of scope (as in the paper's prototype).
-    Tablet* tablet = FindTablet(commit->table, commit->writes.front().key);
-    if (tablet == nullptr) {
+    // Writes and validated reads must all land in one tablet for an atomic
+    // commit; multi-tablet transactions are out of scope (as in the paper's
+    // prototype).
+    Hosted* hosted =
+        FindHostedLocked(commit->table, commit->writes.front().key);
+    if (hosted == nullptr) {
       return MakeError(StatusCode::kWrongNode,
                        "node " + name_ + " has no tablet for commit");
     }
+    const KeyRange& owned = hosted->tablet->range();
     for (const proto::ObjectVersion& w : commit->writes) {
-      if (!tablet->range().Contains(w.key)) {
+      if (!owned.Contains(w.key)) {
         return MakeError(StatusCode::kInvalidArgument,
                          "transaction writes span tablets");
       }
     }
-    Result<proto::CommitReply> reply = tablet->HandleCommit(*commit);
+    for (const std::string& key : commit->read_keys) {
+      if (!owned.Contains(key)) {
+        return MakeError(StatusCode::kInvalidArgument,
+                         "transaction reads span tablets");
+      }
+    }
+    Result<proto::CommitReply> reply =
+        hosted->backend != nullptr ? hosted->backend->HandleCommit(*commit)
+                                   : hosted->tablet->HandleCommit(*commit);
     if (!reply.ok()) {
       return MakeError(reply.status());
     }

@@ -5,10 +5,16 @@
 // Thread safety: a single mutex serializes request handling, so the same node
 // object can sit behind the threaded in-process transport, the TCP server, or
 // be called directly from the single-threaded simulation.
+//
+// Durability is per tablet: a tablet attached with a TabletBackend (e.g.
+// persist::DurableTablet) has every state change recorded by its backend
+// under that same mutex, so one dispatcher serves in-memory and durable
+// storage alike.
 
 #ifndef PILEUS_SRC_STORAGE_STORAGE_NODE_H_
 #define PILEUS_SRC_STORAGE_STORAGE_NODE_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -23,6 +29,7 @@
 #include "src/reconfig/config_epoch.h"
 #include "src/storage/admission.h"
 #include "src/storage/tablet.h"
+#include "src/storage/tablet_backend.h"
 #include "src/tablets/tablet_map.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/key_range.h"
@@ -40,6 +47,11 @@ class StorageNode {
 
   // Registers a tablet. Ranges of one table must not overlap on one node.
   Status AddTablet(std::string_view table, Tablet::Options options);
+
+  // Hosts `backend`'s tablet (the backend is not owned and must outlive the
+  // node), then the split children the backend recorded in earlier runs,
+  // recursively; the node owns those. Ranges must not overlap.
+  Status AttachTablet(std::string_view table, TabletBackend* backend);
 
   // Role changes for the whole table on this node (Section 6.2
   // reconfiguration and Section 6.4 sync replicas).
@@ -116,6 +128,22 @@ class StorageNode {
   // for tests and monitors.
   Timestamp HighTimestamp(std::string_view table, std::string_view key) const;
 
+  // The minimum high timestamp across `table`'s tablets (Zero if none):
+  // every version at or below it is present on this node.
+  Timestamp TableHighTimestamp(std::string_view table) const;
+
+  // Secondary side of replication, under the request lock: applies a pulled
+  // SyncReply for the whole table, each tablet taking the versions in its
+  // range and the heartbeat. Durable tablets record it through their
+  // backend.
+  Status ApplySync(std::string_view table, const proto::SyncReply& reply);
+
+  // Durability barrier over every attached backend (group commit); a no-op
+  // for in-memory tablets. Serialized against request handling.
+  Status SyncBackends();
+  // Checkpoints every attached backend (clean shutdown).
+  Status CheckpointBackends();
+
   // Audit ground truth (DESIGN.md "Consistency auditing"): the committed
   // versions across `table`'s tablets, merged into one ascending-timestamp
   // sequence. Taken from the primary, this is the authoritative commit order
@@ -126,7 +154,9 @@ class StorageNode {
       std::string_view table, bool* contiguous = nullptr) const;
 
   // Total Gets/Puts served; used by benches to report message costs.
-  uint64_t requests_served() const { return requests_served_; }
+  uint64_t requests_served() const {
+    return requests_served_.load(std::memory_order_relaxed);
+  }
 
   // Registers pileus_storage_* metrics labeled with this node's name and
   // feeds them on every Handle(): per-op served counters, an error counter,
@@ -163,6 +193,25 @@ class StorageNode {
     // 0 = no lease.
     MicrosecondCount lease_expiry_us = 0;
   };
+
+  // One hosted tablet. In-memory tablets are owned here; a durable tablet
+  // belongs to its backend, which the node owns only for split children.
+  struct Hosted {
+    Tablet* tablet = nullptr;
+    TabletBackend* backend = nullptr;  // Null: in-memory only.
+    std::unique_ptr<Tablet> owned_tablet;
+    std::unique_ptr<TabletBackend> owned_backend;
+  };
+
+  // Adds `hosted` to `table`'s tablets, kept sorted by range begin.
+  Status HostLocked(std::string_view table, Hosted hosted);
+  Status AttachLocked(std::string_view table, TabletBackend* backend,
+                      std::unique_ptr<TabletBackend> owned);
+  Hosted* FindHostedLocked(std::string_view table, std::string_view key);
+  // Runs `step` on every attached backend under the lock; stops at the
+  // first error.
+  Status ForEachBackend(Status (TabletBackend::*step)());
+  static Timestamp MinHighTimestamp(const std::vector<Hosted>& hosted);
 
   proto::Message HandleLocked(const proto::Message& request);
   proto::Message HandleConfigLocked(const proto::ConfigRequest& request);
@@ -244,13 +293,12 @@ class StorageNode {
   Clock* clock_;  // Not owned.
   mutable std::mutex mu_;
   // table name -> tablets sorted by range begin.
-  std::map<std::string, std::vector<std::unique_ptr<Tablet>>, std::less<>>
-      tablets_;
+  std::map<std::string, std::vector<Hosted>, std::less<>> tablets_;
   // table name -> installed configuration (absent until the first install).
   std::map<std::string, TableConfig, std::less<>> configs_;
   // table name -> installed tablet map (absent until the first install).
   std::map<std::string, tablets::TabletMap, std::less<>> tablet_maps_;
-  uint64_t requests_served_ = 0;
+  std::atomic<uint64_t> requests_served_{0};
   Instruments instruments_;
   std::unique_ptr<AdmissionController> admission_;
 };

@@ -41,6 +41,7 @@ class Tablet {
   Tablet(Options options, Clock* clock);
 
   const KeyRange& range() const { return options_.range; }
+  Clock* clock() const { return clock_; }
   bool is_primary() const { return options_.is_primary; }
   bool is_sync_replica() const { return options_.is_sync_replica; }
   bool authoritative() const {

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +23,8 @@
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/experiments/scenario.h"
+#include "src/experiments/tcp_scenario.h"
+#include "src/persist/durable_tablet.h"
 #include "src/telemetry/trace.h"
 #include "src/workload/ycsb.h"
 #include "tests/testbed_fixture.h"
@@ -127,6 +132,45 @@ TEST(AuditScenarioTest, AggregatorPrimedSweepStaysCleanThroughItsDeath) {
       EXPECT_GT(result.report.claims_checked, 0u) << result.Summary();
     }
   }
+}
+
+TEST(TcpAuditScenarioTest, CompactedPrimaryLogIsAuditedAsIncomplete) {
+  ScenarioOptions options;
+  options.seed = 3;
+  options.total_ops = 200;
+  options.durable_root = MakeTempDir();
+  ASSERT_FALSE(options.durable_root.empty());
+  // Seed the primary's WAL past the default auto-checkpoint threshold: the
+  // run's first write then checkpoints, which compacts the primary's update
+  // log, so the exported commit order misses the oldest committed writes.
+  const std::string primary_dir = options.durable_root + "/primary";
+  ASSERT_EQ(::mkdir(primary_dir.c_str(), 0755), 0);
+  {
+    persist::DurableTablet::Options seed_options;
+    seed_options.directory = primary_dir;
+    seed_options.tablet.is_primary = true;
+    const uint64_t threshold = seed_options.checkpoint_threshold_bytes;
+    seed_options.checkpoint_threshold_bytes = 0;  // Never while seeding.
+    auto seeded = persist::DurableTablet::Open(seed_options,
+                                               RealClock::Instance());
+    ASSERT_TRUE(seeded.ok()) << seeded.status();
+    const std::string bulk(size_t{1} << 20, 'b');
+    for (int i = 0; (*seeded)->wal().bytes_written() <= threshold; ++i) {
+      ASSERT_TRUE((*seeded)->HandlePut("bulk" + std::to_string(i), bulk).ok());
+    }
+  }
+
+  const ScenarioResult result = RunTcpAuditScenario(options);
+  EXPECT_FALSE(result.history.ground_truth_complete);
+  for (const audit::Violation& violation : result.report.violations) {
+    EXPECT_NE(violation.type, audit::ViolationType::kLostWrite)
+        << violation.message;
+    EXPECT_NE(violation.type, audit::ViolationType::kPhantomRead)
+        << violation.message;
+  }
+  EXPECT_TRUE(result.ok()) << result.Summary();
+  EXPECT_GT(result.ops_attempted, 0u);
+  std::filesystem::remove_all(options.durable_root);  // Megabytes of WAL.
 }
 
 TEST(AuditScenarioTest, SameSeedIsReproducible) {

@@ -1,5 +1,6 @@
-// Tests for DurableStorageService: protocol dispatch onto journaled storage,
-// including a full restart cycle through the service interface.
+// Tests for DurableStorageService: group-commit acks over journaled storage
+// and a full restart cycle through the service interface. Request dispatch
+// itself is covered for both backends by dispatch_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -58,56 +59,6 @@ class DurableServiceTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(DurableServiceTest, PutGetProbeSyncDispatch) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v";
-  proto::Message put_reply = service.Handle(put);
-  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(put_reply));
-
-  proto::GetRequest get;
-  get.table = "t";
-  get.key = "k";
-  proto::Message get_reply = service.Handle(get);
-  const auto* gr = std::get_if<proto::GetReply>(&get_reply);
-  ASSERT_NE(gr, nullptr);
-  EXPECT_TRUE(gr->found);
-  EXPECT_EQ(gr->value, "v");
-  EXPECT_TRUE(gr->served_by_primary);
-
-  proto::ProbeRequest probe;
-  probe.table = "t";
-  proto::Message probe_reply = service.Handle(probe);
-  const auto* pr = std::get_if<proto::ProbeReply>(&probe_reply);
-  ASSERT_NE(pr, nullptr);
-  EXPECT_TRUE(pr->is_primary);
-  EXPECT_GT(pr->high_timestamp, Timestamp::Zero());
-
-  proto::SyncRequest sync;
-  sync.table = "t";
-  proto::Message sync_reply = service.Handle(sync);
-  const auto* sr = std::get_if<proto::SyncReply>(&sync_reply);
-  ASSERT_NE(sr, nullptr);
-  EXPECT_EQ(sr->versions.size(), 1u);
-  EXPECT_EQ(service.requests_served(), 4u);
-}
-
-TEST_F(DurableServiceTest, WrongTableRejected) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  proto::GetRequest get;
-  get.table = "other";
-  get.key = "k";
-  proto::Message reply = service.Handle(get);
-  const auto* err = std::get_if<proto::ErrorReply>(&reply);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, StatusCode::kWrongNode);
-}
-
 TEST_F(DurableServiceTest, CommitDispatchAndRecovery) {
   {
     auto tablet = OpenTablet();
@@ -133,59 +84,6 @@ TEST_F(DurableServiceTest, CommitDispatchAndRecovery) {
   get.key = "x";
   proto::Message reply = service.Handle(get);
   EXPECT_TRUE(std::get<proto::GetReply>(reply).found);
-}
-
-TEST_F(DurableServiceTest, GetAtDispatch) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v1";
-  (void)service.Handle(put);
-  const Timestamp first = tablet->tablet().high_timestamp();
-  clock_.AdvanceMicros(10);
-  put.value = "v2";
-  (void)service.Handle(put);
-
-  proto::GetAtRequest get_at;
-  get_at.table = "t";
-  get_at.key = "k";
-  get_at.snapshot = first;
-  proto::Message reply = service.Handle(get_at);
-  const auto* ar = std::get_if<proto::GetAtReply>(&reply);
-  ASSERT_NE(ar, nullptr);
-  EXPECT_TRUE(ar->found);
-  EXPECT_EQ(ar->value, "v1");
-}
-
-TEST_F(DurableServiceTest, RangeDispatch) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  for (const char* key : {"a", "b", "c"}) {
-    proto::PutRequest put;
-    put.table = "t";
-    put.key = key;
-    put.value = "v";
-    clock_.AdvanceMicros(1);
-    (void)service.Handle(put);
-  }
-  proto::RangeRequest range;
-  range.table = "t";
-  range.begin = "a";
-  range.end = "c";
-  proto::Message reply = service.Handle(range);
-  const auto* rr = std::get_if<proto::RangeReply>(&reply);
-  ASSERT_NE(rr, nullptr);
-  EXPECT_EQ(rr->items.size(), 2u);
-  EXPECT_TRUE(rr->served_by_primary);
-}
-
-TEST_F(DurableServiceTest, NonRequestRejected) {
-  auto tablet = OpenTablet();
-  DurableStorageService service("t", tablet.get());
-  proto::Message reply = service.Handle(proto::Message(proto::GetReply{}));
-  EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(reply));
 }
 
 // --- Group-commit durability ---

@@ -170,6 +170,32 @@ TEST(GeoTestbedTest, ProbesPopulateMonitorWithoutForegroundTraffic) {
   client->StopProbing();
 }
 
+TEST(GeoTestbedTest, DestroyedClientsIgnoreTheirInFlightProbeReplies) {
+  GeoTestbed testbed(FastGeoOptions());
+  PreloadKeys(testbed, 10);
+  testbed.StartReplication();
+  // China is remote from every node, so each probe reply is queued for a
+  // full cross-continent round trip after the probe goes out.
+  auto stopped = testbed.MakeClient(kChina, core::PileusClient::Options{});
+  auto probing = testbed.MakeClient(kChina, core::PileusClient::Options{});
+  stopped->StartProbing();
+  probing->StartProbing();
+  while (stopped->probes_sent() == 0 || probing->probes_sent() == 0) {
+    testbed.env().RunFor(MillisecondsToMicroseconds(1));
+  }
+  stopped->StopProbing();
+  stopped.reset();
+  probing.reset();  // Destroyed without StopProbing.
+  // Delivers the queued replies and runs further probe periods; neither may
+  // touch the destroyed clients.
+  testbed.env().RunFor(SecondsToMicroseconds(30));
+  auto survivor = testbed.MakeClient(kChina, core::PileusClient::Options{});
+  survivor->StartProbing();
+  testbed.env().RunFor(SecondsToMicroseconds(30));
+  EXPECT_GT(survivor->client().monitor().MeanLatency(kEngland), 0);
+  survivor->StopProbing();
+}
+
 TEST(GeoTestbedTest, MovePrimaryRetargetsReplicationAndClients) {
   GeoTestbed testbed(FastGeoOptions());
   PreloadKeys(testbed, 10);

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/replication/replication_agent.h"
+#include "src/storage/storage_node.h"
 #include "src/storage/tablet.h"
 
 namespace pileus::replication {
@@ -189,6 +192,77 @@ TEST(ThreadedPullerTest, StopIsIdempotent) {
       SecondsToMicroseconds(1));
   puller.Stop();
   puller.Stop();
+}
+
+// Readers Get through the node while a puller applies batches through it.
+// No reply may carry a version above the high timestamp it reports, which
+// a batch applied outside the node's request lock allows.
+TEST(ThreadedPullerTest, NodeAppliesPullsUnderItsRequestLock) {
+  storage::StorageNode primary("primary", "local", RealClock::Instance());
+  storage::StorageNode secondary("secondary", "local", RealClock::Instance());
+  Tablet::Options primary_options;
+  primary_options.is_primary = true;
+  ASSERT_TRUE(primary.AddTablet("t", primary_options).ok());
+  ASSERT_TRUE(secondary.AddTablet("t", Tablet::Options{}).ok());
+
+  ReplicationAgent agent(&secondary,
+                         {.table = "t", .max_versions_per_pull = 4});
+  ThreadedPuller puller(
+      &agent,
+      [&primary](const proto::SyncRequest& request) {
+        proto::Message reply = primary.Handle(request);
+        return Result<proto::SyncReply>(
+            std::get<proto::SyncReply>(std::move(reply)));
+      },
+      /*period_us=*/50);
+
+  constexpr int kKeys = 8;
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> found{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      for (int i = r; !stop.load(); ++i) {
+        proto::GetRequest get;
+        get.table = "t";
+        get.key = "k" + std::to_string(i % kKeys);
+        proto::Message reply = secondary.Handle(get);
+        const auto& got = std::get<proto::GetReply>(reply);
+        if (got.found) {
+          ++found;
+          if (got.value_timestamp > got.high_timestamp) {
+            ++violations;
+          }
+        }
+      }
+    });
+  }
+  for (int i = 0; i < 20000; ++i) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = "k" + std::to_string(i % kKeys);
+    put.value = "v" + std::to_string(i);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(primary.Handle(put)));
+    if (i % 16 == 0) {
+      puller.PullNow();
+    }
+  }
+  const Timestamp written = primary.TableHighTimestamp("t");
+  for (int i = 0; i < 2000 && secondary.TableHighTimestamp("t") < written;
+       ++i) {
+    puller.PullNow();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop = true;
+  for (std::thread& reader : readers) {
+    reader.join();
+  }
+  puller.Stop();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(found.load(), 0);
+  EXPECT_GE(secondary.TableHighTimestamp("t"), written);
+  EXPECT_EQ(agent.target(), nullptr);
 }
 
 }  // namespace

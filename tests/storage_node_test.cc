@@ -1,5 +1,7 @@
-// Tests for StorageNode: tablet registration, request dispatch, and the
-// errors a node returns for misrouted or malformed requests.
+// Tests for StorageNode: tablet registration, configuration epochs, roles,
+// multi-tablet routing, and the errors a node returns for misrouted
+// requests. Dispatch cases shared with durable storage are in
+// dispatch_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -24,35 +26,6 @@ class StorageNodeTest : public ::testing::Test {
 TEST_F(StorageNodeTest, NameAndSite) {
   EXPECT_EQ(node_.name(), "node-1");
   EXPECT_EQ(node_.site(), "US");
-}
-
-TEST_F(StorageNodeTest, PutThenGet) {
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v";
-  proto::Message put_reply = node_.Handle(put);
-  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(put_reply));
-
-  proto::GetRequest get;
-  get.table = "t";
-  get.key = "k";
-  proto::Message get_reply = node_.Handle(get);
-  const auto* reply = std::get_if<proto::GetReply>(&get_reply);
-  ASSERT_NE(reply, nullptr);
-  EXPECT_TRUE(reply->found);
-  EXPECT_EQ(reply->value, "v");
-  EXPECT_EQ(node_.requests_served(), 2u);
-}
-
-TEST_F(StorageNodeTest, GetUnknownTableIsWrongNode) {
-  proto::GetRequest get;
-  get.table = "nope";
-  get.key = "k";
-  proto::Message reply = node_.Handle(get);
-  const auto* err = std::get_if<proto::ErrorReply>(&reply);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, StatusCode::kWrongNode);
 }
 
 TEST_F(StorageNodeTest, KeyOutsideTabletRangeIsWrongNode) {
@@ -259,23 +232,6 @@ TEST_F(StorageNodeTest, SyncDispatch) {
   EXPECT_EQ(sync_reply->versions.size(), 1u);
 }
 
-TEST_F(StorageNodeTest, GetAtDispatch) {
-  proto::PutRequest put;
-  put.table = "t";
-  put.key = "k";
-  put.value = "v";
-  (void)node_.Handle(put);
-
-  proto::GetAtRequest get_at;
-  get_at.table = "t";
-  get_at.key = "k";
-  get_at.snapshot = Timestamp::Max();
-  proto::Message reply = node_.Handle(get_at);
-  const auto* at_reply = std::get_if<proto::GetAtReply>(&reply);
-  ASSERT_NE(at_reply, nullptr);
-  EXPECT_TRUE(at_reply->found);
-}
-
 TEST_F(StorageNodeTest, ReadOnlyCommitTriviallySucceeds) {
   proto::CommitRequest commit;
   commit.table = "t";
@@ -371,13 +327,6 @@ TEST_F(StorageNodeTest, RangeScanUnknownTable) {
   range.table = "nope";
   proto::Message reply = node_.Handle(range);
   EXPECT_TRUE(std::holds_alternative<proto::ErrorReply>(reply));
-}
-
-TEST_F(StorageNodeTest, ReplyMessageAsRequestIsRejected) {
-  proto::Message reply = node_.Handle(proto::Message(proto::GetReply{}));
-  const auto* err = std::get_if<proto::ErrorReply>(&reply);
-  ASSERT_NE(err, nullptr);
-  EXPECT_EQ(err->code, StatusCode::kInvalidArgument);
 }
 
 TEST_F(StorageNodeTest, RoleFlipsForWholeTable) {
