@@ -415,7 +415,10 @@ GeoTestbed::GeoTestbed(GeoTestbedOptions options)
     for (NodeEntry& entry : nodes_) {
       Result<persist::WriteAheadLog> wal =
           persist::WriteAheadLog::Open(WalPath(entry.site));
-      assert(wal.ok() && "failed to open node WAL");
+      if (!wal.ok()) {
+        durable_status_ = wal.status();
+        break;
+      }
       entry.wal = std::move(wal).value();
     }
   }

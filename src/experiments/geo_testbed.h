@@ -118,6 +118,9 @@ class GeoTestbed {
 
   sim::SimEnvironment& env() { return env_; }
   const GeoTestbedOptions& options() const { return options_; }
+  // Non-ok when a node WAL under options().durable_root could not be
+  // opened; the nodes whose WAL is closed then journal nothing.
+  const Status& durable_status() const { return durable_status_; }
 
   // Storage node at a site; null for China (client-only).
   storage::StorageNode* node(const std::string& site);
@@ -244,6 +247,7 @@ class GeoTestbed {
   Status ExecuteFailover(const reconfig::FailoverCoordinator::Plan& plan);
 
   GeoTestbedOptions options_;
+  Status durable_status_ = Status::Ok();
   sim::SimEnvironment env_;
   sim::FaultInjector faults_;
   std::vector<NodeEntry> nodes_;

@@ -1,15 +1,12 @@
 // Unit tests for the experiments module: table rendering, run statistics,
-// preloading, the workload runner's accounting, and the tablet-churn
-// scenario's coordinator-kill mode.
+// preloading, and the workload runner's accounting.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include "src/experiments/comparison.h"
 #include "src/experiments/geo_testbed.h"
 #include "src/experiments/runner.h"
 #include "src/experiments/tables.h"
-#include "src/experiments/tablet_churn.h"
 #include "tests/testbed_fixture.h"
 
 namespace pileus::experiments {
@@ -142,35 +139,6 @@ TEST(ComparisonTest, BreakdownTableMentionsEveryRank) {
   EXPECT_NE(out.find("2."), std::string::npos);
   EXPECT_NE(out.find("90.0%"), std::string::npos);
   EXPECT_NE(out.find("0.90"), std::string::npos);
-}
-
-// The tablet-churn scenario with the coordinator repeatedly killed at
-// protocol crash points and recovered by a standby from the intent log
-// (DESIGN.md Section 15). The audit bar is the usual one — zero violations,
-// zero lost acked writes — and every kill must be followed by a recovery.
-TEST(TabletChurnTest, CoordinatorKillRecoversWithZeroLoss) {
-  char tmpl[] = "/tmp/pileus_churn_kill.XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  TabletChurnOptions options;
-  options.seed = 3;
-  options.total_ops = 400;
-  options.coordinator_kill = true;
-  options.durable_root = tmpl;
-  const TabletChurnResult result = RunTabletChurnScenario(options);
-  ASSERT_TRUE(result.setup.ok()) << result.setup;
-  EXPECT_TRUE(result.ok()) << result.Summary();
-  EXPECT_GT(result.coordinator_kills, 0u);
-  EXPECT_EQ(result.coordinator_recoveries, result.coordinator_kills);
-  EXPECT_EQ(result.lost_acked_writes, 0u);
-  EXPECT_GT(result.acked_writes, 0u);
-}
-
-TEST(TabletChurnTest, CoordinatorKillRequiresDurableRoot) {
-  TabletChurnOptions options;
-  options.coordinator_kill = true;
-  options.durable_root = "";
-  const TabletChurnResult result = RunTabletChurnScenario(options);
-  EXPECT_FALSE(result.setup.ok());
 }
 
 }  // namespace

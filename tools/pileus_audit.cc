@@ -1,20 +1,25 @@
 // Consistency-audit sweep runner (DESIGN.md "Consistency auditing").
 //
-// Runs seeded random workloads against the simulated geo testbed under
-// scripted fault scenarios, records every client-visible operation, and
-// audits the history offline against the primary's commit order. Every run
-// is reproducible from its printed seed:
+// Runs seeded random workloads under scripted fault scenarios, records every
+// client-visible operation, and audits the history offline against the
+// committed write order. Every run goes through the same harness
+// (src/experiments/scenario.h); the scenario and --transport pick its world:
+// the deterministic simulator testbed, the real TCP stack, or the
+// tablet-churn fleet. A failing run prints the command that reproduces it:
 //
 //   pileus_audit                        # default sweep: 8 seeds x 3 scenarios
 //   pileus_audit --seed 42              # one seed across the scenario list
 //   pileus_audit --seed 42 --scenarios crash-restart   # one exact run
+//   pileus_audit --scenarios tablet-churn,tablet-churn-kill
+//                                       # splits + live migrations, swept
+//                                       # under none/partition/crash-restart
 //   pileus_audit --transport tcp        # same audit over real sockets: the
 //                                       # epoll transport, a durable primary
 //                                       # with WAL group commit, replication
 //                                       # pulls over TCP (wall-clock time, so
 //                                       # runs are seeded but not bit-exact)
 //
-// Exits non-zero when any run reports a violation.
+// Exits non-zero when any run reports a violation or fails to set up.
 
 #include <stdlib.h>
 
@@ -23,21 +28,15 @@
 #include <vector>
 
 #include "src/experiments/scenario.h"
-#include "src/experiments/tablet_churn.h"
-#include "src/experiments/tcp_scenario.h"
 #include "tools/flags.h"
 
 namespace pileus {
 namespace {
 
+using experiments::AuditOptions;
+using experiments::AuditResult;
+using experiments::AuditWorld;
 using experiments::FaultScenario;
-using experiments::RunAuditScenario;
-using experiments::RunTabletChurnScenario;
-using experiments::RunTcpAuditScenario;
-using experiments::ScenarioOptions;
-using experiments::ScenarioResult;
-using experiments::TabletChurnOptions;
-using experiments::TabletChurnResult;
 
 std::vector<std::string> SplitCommas(const std::string& list) {
   std::vector<std::string> out;
@@ -103,10 +102,19 @@ int Run(int argc, char** argv) {
     scenario_list =
         tcp ? "none,crash-restart,handoff" : "none,partition,crash-restart";
   }
-  std::vector<FaultScenario> scenarios;
-  bool churn = false;
-  bool churn_kill = false;
+  AuditOptions base;
+  base.world = tcp ? AuditWorld::kTcp : AuditWorld::kSim;
+  base.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
+  base.key_count = static_cast<int>(flags.GetInt("keys"));
+  base.client_cache = flags.GetBool("cache");
+  base.cache_capacity_bytes =
+      static_cast<uint64_t>(flags.GetInt("cache_bytes"));
+  base.enable_aggregator = !tcp && flags.GetBool("aggregator");
+  // One run per scenario and seed; the churn names expand into their three
+  // sub-faults.
+  std::vector<AuditOptions> runs;
   for (const std::string& name : SplitCommas(scenario_list)) {
+    AuditOptions run = base;
     if (name == "tablet-churn" || name == "tablet-churn-kill") {
       if (tcp) {
         std::fprintf(stderr,
@@ -115,7 +123,15 @@ int Run(int argc, char** argv) {
                      name.c_str());
         return 2;
       }
-      (name == "tablet-churn" ? churn : churn_kill) = true;
+      run.world = AuditWorld::kChurn;
+      run.enable_aggregator = false;
+      run.coordinator_kill = name == "tablet-churn-kill";
+      for (const FaultScenario fault :
+           {FaultScenario::kNone, FaultScenario::kPartition,
+            FaultScenario::kCrashRestart}) {
+        run.scenario = fault;
+        runs.push_back(run);
+      }
       continue;
     }
     const auto scenario = experiments::ParseFaultScenario(name);
@@ -123,16 +139,17 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario '%s'\n", name.c_str());
       return 2;
     }
-    if (tcp && !experiments::TcpScenarioSupports(*scenario)) {
+    if (!experiments::WorldSupports(run.world, *scenario)) {
       std::fprintf(stderr,
                    "scenario '%s' is not expressible over the tcp transport "
                    "(supported: none, crash-restart, handoff)\n",
                    name.c_str());
       return 2;
     }
-    scenarios.push_back(*scenario);
+    run.scenario = *scenario;
+    runs.push_back(run);
   }
-  if (scenarios.empty() && !churn && !churn_kill) {
+  if (runs.empty()) {
     std::fprintf(stderr, "no scenarios selected\n");
     return 2;
   }
@@ -157,101 +174,48 @@ int Run(int argc, char** argv) {
   }
 
   int failures = 0;
-  uint64_t runs = 0;
-  for (const FaultScenario scenario : scenarios) {
+  int setup_failures = 0;
+  uint64_t run_count = 0;
+  for (AuditOptions options : runs) {
     for (const uint64_t seed : seeds) {
-      ScenarioOptions options;
       options.seed = seed;
-      options.scenario = scenario;
-      options.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
-      options.key_count = static_cast<int>(flags.GetInt("keys"));
-      options.client_cache = flags.GetBool("cache");
-      options.cache_capacity_bytes =
-          static_cast<uint64_t>(flags.GetInt("cache_bytes"));
-      options.enable_aggregator = flags.GetBool("aggregator");
       // One subdirectory per run: WALs append, so runs must not share files.
-      options.durable_root =
-          durable_root + "/" +
-          std::string(experiments::FaultScenarioName(scenario)) + "_" +
-          std::to_string(seed);
-      const ScenarioResult result =
-          tcp ? RunTcpAuditScenario(options) : RunAuditScenario(options);
-      ++runs;
-      std::printf("%s\n", result.Summary().c_str());
-      if (!result.ok()) {
-        ++failures;
-        std::printf("%s\n", result.report.ToString().c_str());
-        for (const auto& violation : result.report.violations) {
-          if (violation.op_index < result.history.ops.size()) {
-            std::printf(
-                "    op #%zu: %s\n", violation.op_index,
-                audit::DescribeOp(result.history.ops[violation.op_index])
-                    .c_str());
-          }
-          if (violation.related_op_index < result.history.ops.size()) {
-            std::printf(
-                "    op #%zu: %s\n", violation.related_op_index,
-                audit::DescribeOp(result.history.ops[violation.related_op_index])
-                    .c_str());
-          }
-        }
+      std::string run_dir = durable_root + "/";
+      if (options.world == AuditWorld::kChurn) {
+        run_dir += options.coordinator_kill ? "tablet-churn-kill_"
+                                            : "tablet-churn_";
       }
-    }
-  }
-  if (churn || churn_kill) {
-    // Dynamic-tablet churn: splits, live migrations, and rebalancer rounds
-    // run concurrently with the workload, swept under each sub-fault. The
-    // kill variant additionally runs the coordinator durably and kills it
-    // at rotating protocol crash points mid-operation; a standby recovers
-    // from the intent log (DESIGN.md Section 15).
-    const FaultScenario sub_faults[] = {FaultScenario::kNone,
-                                        FaultScenario::kPartition,
-                                        FaultScenario::kCrashRestart};
-    for (const bool kill : {false, true}) {
-      if (kill ? !churn_kill : !churn) {
+      options.durable_root =
+          run_dir + std::string(experiments::FaultScenarioName(
+                        options.scenario)) +
+          "_" + std::to_string(seed);
+      const AuditResult result = experiments::RunAudit(options);
+      ++run_count;
+      std::printf("%s\n", result.Summary().c_str());
+      if (result.ok()) {
         continue;
       }
-      const char* variant = kill ? "tablet-churn-kill" : "tablet-churn";
-      for (const FaultScenario fault : sub_faults) {
-        for (const uint64_t seed : seeds) {
-          TabletChurnOptions options;
-          options.seed = seed;
-          options.scenario = fault;
-          options.coordinator_kill = kill;
-          options.total_ops = static_cast<uint64_t>(flags.GetInt("ops"));
-          options.key_count = static_cast<int>(flags.GetInt("keys"));
-          options.client_cache = flags.GetBool("cache");
-          options.cache_capacity_bytes =
-              static_cast<uint64_t>(flags.GetInt("cache_bytes"));
-          options.durable_root =
-              durable_root + "/" + variant + "_" +
-              std::string(experiments::FaultScenarioName(fault)) + "_" +
-              std::to_string(seed);
-          const TabletChurnResult result = RunTabletChurnScenario(options);
-          ++runs;
-          std::printf("%s\n", result.Summary().c_str());
-          if (!result.ok()) {
-            ++failures;
-            std::printf("%s\n", result.report.ToString().c_str());
-            for (const auto& detail : result.lost_write_details) {
-              std::printf("    %s\n", detail.c_str());
-            }
-            for (const auto& violation : result.report.violations) {
-              if (violation.op_index < result.history.ops.size()) {
-                std::printf(
-                    "    op #%zu: %s\n", violation.op_index,
-                    audit::DescribeOp(result.history.ops[violation.op_index])
-                        .c_str());
-              }
-            }
+      if (!result.setup.ok()) {
+        ++setup_failures;
+        continue;
+      }
+      ++failures;
+      std::printf("%s\n", result.report.ToString().c_str());
+      for (const auto& violation : result.report.violations) {
+        for (const size_t index :
+             {violation.op_index, violation.related_op_index}) {
+          if (index < result.history.ops.size()) {
+            std::printf("    op #%zu: %s\n", index,
+                        audit::DescribeOp(result.history.ops[index]).c_str());
           }
         }
       }
     }
   }
-  std::printf("%llu runs, %d with violations\n",
-              static_cast<unsigned long long>(runs), failures);
-  return failures == 0 ? 0 : 1;
+  std::printf("%llu runs, %d with violations, %d failed to set up\n",
+              static_cast<unsigned long long>(run_count), failures,
+              setup_failures);
+  return failures == 0 && setup_failures == 0 ? 0 : 1;
 }
 
 }  // namespace
