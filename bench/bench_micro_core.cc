@@ -5,7 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/core/monitor.h"
 #include "src/core/selection.h"
 #include "src/core/session.h"
@@ -16,6 +20,9 @@ namespace {
 
 using namespace pileus;        // NOLINT
 using namespace pileus::core;  // NOLINT
+
+// A warm client's latency window is full: Monitor's default cap.
+constexpr int kFullWindow = 4096;
 
 struct SelectionFixture {
   ManualClock clock;
@@ -36,8 +43,9 @@ struct SelectionFixture {
       view.name = "node-" + std::to_string(i);
       view.authoritative = (i == 0);
       replicas.push_back(view);
-      // Populate monitor state: mixed latencies and staleness.
-      for (int s = 0; s < 50; ++s) {
+      // Populate monitor state: mixed latencies and staleness, with each
+      // latency window filled to the cap as on a warm client.
+      for (int s = 0; s < kFullWindow; ++s) {
         monitor.RecordLatency(view.name,
                               MillisecondsToMicroseconds(1 + 37 * i + s % 7));
       }
@@ -85,10 +93,32 @@ void BM_MonitorRecordLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorRecordLatency);
 
+// Every Record on a full window inserts into and evicts from the window's
+// order index; latency-like values land at scattered positions in it.
+void BM_MonitorRecordLatencyFullWindow(benchmark::State& state) {
+  ManualClock clock(SecondsToMicroseconds(1000));
+  Monitor monitor(&clock);
+  Random rng(7);
+  std::vector<MicrosecondCount> values(2 * kFullWindow);
+  for (MicrosecondCount& value : values) {
+    value = rng.NextBool(0.9) ? rng.NextInt64InRange(900, 1100)
+                              : rng.NextInt64InRange(20000, 90000);
+  }
+  for (int i = 0; i < kFullWindow; ++i) {
+    monitor.RecordLatency("node-0", values[i]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    clock.AdvanceMicros(100);
+    monitor.RecordLatency("node-0", values[i++ % values.size()]);
+  }
+}
+BENCHMARK(BM_MonitorRecordLatencyFullWindow);
+
 void BM_MonitorPNodeLat(benchmark::State& state) {
   ManualClock clock(SecondsToMicroseconds(1000));
   Monitor monitor(&clock);
-  for (int i = 0; i < 2000; ++i) {
+  for (int i = 0; i < kFullWindow; ++i) {
     monitor.RecordLatency("node-0", 1000 + i % 500);
   }
   for (auto _ : state) {

@@ -2,15 +2,22 @@
 //
 // Pileus monitors keep "a sliding window of the last few minutes of
 // measurements" per storage node (paper Section 4.5). PNodeLat(node, L) is the
-// fraction of windowed round-trip times below L; the window also exposes
-// quantiles and an optional exponential recency weighting (the paper notes
-// "more recent measurements could be weighted higher than older ones").
+// fraction of windowed round-trip times below L; the window also exposes the
+// mean and nearest-rank quantiles.
+//
+// Selection asks these questions for every (subSLA, replica) pair on every
+// Get, so besides the time-ordered samples the window keeps an exact order
+// index: the windowed values in sorted order plus their running sum.
+// FractionBelow is one binary search (O(log n)), Mean and Quantile are O(1),
+// and every answer equals a scan of the retained samples. Record pays for it
+// with an O(n) sorted insert and evict.
 
 #ifndef PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
 #define PILEUS_SRC_UTIL_SLIDING_WINDOW_H_
 
 #include <cstddef>
 #include <deque>
+#include <vector>
 
 #include "src/common/clock.h"
 
@@ -23,8 +30,6 @@ class SlidingWindow {
     MicrosecondCount window_us = SecondsToMicroseconds(120);
     // Hard cap on retained samples regardless of age.
     size_t max_samples = 4096;
-    // When > 0, FractionBelow weights sample i (age a_i) by exp(-a_i/tau).
-    MicrosecondCount recency_tau_us = 0;
   };
 
   SlidingWindow() : SlidingWindow(Options{}) {}
@@ -33,13 +38,14 @@ class SlidingWindow {
   // Records a latency sample observed at `now_us`.
   void Record(MicrosecondCount now_us, MicrosecondCount value_us);
 
-  // Fraction of samples (by weight) strictly below `threshold_us`; returns
+  // Fraction of samples strictly below `threshold_us`; returns
   // `empty_estimate` when no samples are in the window, modelling an
   // unmeasured node optimistically so it gets probed/tried.
   double FractionBelow(MicrosecondCount now_us, MicrosecondCount threshold_us,
                        double empty_estimate = 1.0) const;
 
-  // Arithmetic mean of windowed samples (0 when empty).
+  // Arithmetic mean of windowed samples, truncated to an integer (0 when
+  // empty).
   MicrosecondCount Mean(MicrosecondCount now_us) const;
 
   // q in [0,1]; nearest-rank quantile of windowed samples (0 when empty).
@@ -53,7 +59,7 @@ class SlidingWindow {
     return samples_.empty() ? -1 : samples_.back().at_us;
   }
 
-  void Clear() { samples_.clear(); }
+  void Clear();
 
  private:
   struct Sample {
@@ -62,10 +68,18 @@ class SlidingWindow {
   };
 
   void EvictExpired(MicrosecondCount now_us) const;
+  // Drops the oldest sample from the deque and the order index.
+  void PopOldest() const;
 
   Options options_;
   // Mutable so read-side queries can lazily evict expired samples.
+  // Samples in arrival order; the front is evicted first.
   mutable std::deque<Sample> samples_;
+  // The same values as `samples_`, ascending (the order index).
+  mutable std::vector<MicrosecondCount> sorted_;
+  // Sum of `sorted_`. Microsecond latencies over <= max_samples samples
+  // cannot overflow int64.
+  mutable MicrosecondCount sum_ = 0;
 };
 
 }  // namespace pileus
