@@ -64,6 +64,10 @@ struct ValidationCase {
   bool valid;
 };
 
+// Without a printer gtest lists the parameter as a raw byte dump, which holds
+// heap and string addresses and so renames every case on each build.
+void PrintTo(const ValidationCase& c, std::ostream* os) { *os << c.name; }
+
 class SlaValidation : public ::testing::TestWithParam<ValidationCase> {};
 
 TEST_P(SlaValidation, Validates) {
