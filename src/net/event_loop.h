@@ -4,9 +4,10 @@
 // File descriptors register a callback that fires with the ready event mask;
 // any thread may hand the loop work with RunInLoop (executed promptly on the
 // loop thread, in FIFO order) or RunAfter (executed once a delay elapses —
-// the transport uses this for per-call deadlines). An EventLoopPool spreads
-// connections across N loops round-robin so one process scales past a single
-// reactor thread without per-connection threads.
+// the transport uses this for CallAsync deadlines; a synchronous
+// TcpChannel::Call enforces its own and arms no timer). An EventLoopPool
+// spreads connections across N loops round-robin so one process scales past
+// a single reactor thread without per-connection threads.
 //
 // Threading rules kept deliberately small:
 //  - Register/Modify/Unregister and RunInLoop/RunAfter are thread-safe.
@@ -64,7 +65,9 @@ class EventLoop {
   void RunInLoop(std::function<void()> fn);
 
   // Runs `fn` on the loop thread once `delay_us` has elapsed (0 = next
-  // iteration). Timers cannot be cancelled: make `fn` a no-op instead.
+  // iteration). Timers cannot be cancelled: make `fn` a no-op instead. The
+  // timer is held in the loop's heap until it fires, so a caller that can
+  // enforce a deadline itself (TcpChannel::Call does) should not arm one.
   void RunAfter(MicrosecondCount delay_us, std::function<void()> fn);
 
   // Watches `fd` for `events` (level-triggered). The callback is held until

@@ -5,11 +5,14 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <string.h>
+#include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <thread>
@@ -28,6 +31,9 @@ constexpr int kMaxReadsPerEvent = 16;
 constexpr size_t kReadChunk = 64 * 1024;
 constexpr int kMaxIov = 64;
 constexpr MicrosecondCount kDefaultConnectTimeoutUs = 5 * 1000 * 1000;
+// Initial capacity of an encoded frame: a Get or Put frame with a small value
+// fits, so building it costs one allocation.
+constexpr size_t kFrameReserve = 256;
 
 // Process-wide TCP transport counters. Bytes/frames share names with the
 // framing layer in socket_util.cc (the registry hands back the same counter
@@ -76,12 +82,6 @@ void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) {
     (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-}
-
-void AppendLe32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
   }
 }
 
@@ -185,9 +185,9 @@ Status WritevQueue(int fd, std::deque<std::string>* out, size_t* head,
 std::string EncodeWithRequestId(uint64_t request_id,
                                 const proto::Message& message) {
   std::string payload;
-  payload.reserve(8 + 64);
+  payload.reserve(kFrameReserve);
   AppendLe64(&payload, request_id);
-  payload += proto::EncodeMessage(message);
+  proto::AppendEncodedMessage(message, &payload);
   return payload;
 }
 
@@ -208,12 +208,15 @@ Status SplitRequestId(std::string_view frame, uint64_t* request_id,
 
 std::string EncodeWireFrame(uint64_t request_id,
                             const proto::Message& message) {
-  const std::string encoded = proto::EncodeMessage(message);
   std::string frame;
-  frame.reserve(4 + 8 + encoded.size());
-  AppendLe32(&frame, static_cast<uint32_t>(8 + encoded.size()));
+  frame.reserve(kFrameReserve);
+  frame.resize(4);  // Length prefix, patched once the message is in place.
   AppendLe64(&frame, request_id);
-  frame += encoded;
+  proto::AppendEncodedMessage(message, &frame);
+  const uint32_t len = static_cast<uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    frame[static_cast<size_t>(i)] = static_cast<char>(len >> (8 * i));
+  }
   return frame;
 }
 
@@ -577,6 +580,10 @@ void TcpServer::RemoveConnection(uint64_t key) {
 
 // --- Client ---
 
+// The shared dispatch routine takes either readiness mask.
+static_assert(POLLIN == EPOLLIN && POLLOUT == EPOLLOUT &&
+              POLLERR == EPOLLERR && POLLHUP == EPOLLHUP);
+
 struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
   State(uint16_t server_port, EventLoop* pinned_loop)
       : port(server_port),
@@ -584,6 +591,19 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
                                     : SharedClientLoops().Next()) {}
 
   using Completion = std::pair<AsyncCallback, Result<proto::Message>>;
+  using Deadline = std::chrono::steady_clock::time_point;
+
+  // A synchronous caller blocked in Call. It lives on that caller's stack;
+  // whoever erases its pending entry sets `result` and notifies under `mu`.
+  struct SyncWaiter {
+    std::condition_variable cv;
+    std::optional<Result<proto::Message>> result;
+  };
+  // An in-flight call: an async callback or a synchronous waiter.
+  struct PendingCall {
+    AsyncCallback callback;
+    SyncWaiter* waiter = nullptr;
+  };
 
   const uint16_t port;
   // From the shared client pool (never destroyed) or caller-pinned, in which
@@ -592,11 +612,20 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
 
   std::mutex mu;
   UniqueFd fd;
+  uint64_t fd_generation = 0;  // Bumped each time `fd` is closed.
   bool closed = false;  // Channel destroyed.
   bool ever_connected = false;
+  // Set by the first CallAsync and never cleared: from then on the socket is
+  // registered with `loop`, which reads every reply. Until then no loop sees
+  // the socket and synchronous callers read it themselves.
+  bool loop_owned = false;
+  // A synchronous caller (the leader) is in ppoll on `fd`; other synchronous
+  // callers wait on their own condition variables for it to deliver.
+  bool reader_active = false;
+  UniqueFd wake_fd;  // eventfd in the leader's poll set; see WakeReaderLocked.
   uint64_t next_id = 1;
   FrameParser parser{kMaxFrameBytes};
-  std::unordered_map<uint64_t, AsyncCallback> pending;
+  std::unordered_map<uint64_t, PendingCall> pending;
   std::deque<std::string> out;
   size_t out_head = 0;
   bool want_write = false;
@@ -621,15 +650,48 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
     parser.Reset();
     out.clear();
     out_head = 0;
-    want_write = false;
-    auto self = shared_from_this();
-    const Status status = loop->RegisterFd(
-        sock.get(), EPOLLIN, [self](uint32_t events) { self->OnEvent(events); });
-    if (!status.ok()) {
-      return status;
+    if (loop_owned) {
+      PILEUS_RETURN_IF_ERROR(RegisterWithLoopLocked(sock.get()));
     }
     fd = std::move(sock);
     return Status::Ok();
+  }
+
+  Status RegisterWithLoopLocked(int sock) {
+    want_write = !out.empty();
+    auto self = shared_from_this();
+    return loop->RegisterFd(
+        sock, want_write ? EPOLLIN | EPOLLOUT : EPOLLIN,
+        [self](uint32_t events) { self->OnEvent(events); });
+  }
+
+  // Gives the socket to the loop for good (the first CallAsync). A leader
+  // parked in ppoll is woken so it stops reading and waits for the loop to
+  // deliver its reply; otherwise it could sleep through a reply the loop
+  // already drained.
+  void HandToLoopLocked(std::vector<Completion>* done) {
+    if (loop_owned) {
+      return;
+    }
+    loop_owned = true;
+    WakeReaderLocked();
+    if (fd.valid()) {
+      const Status status = RegisterWithLoopLocked(fd.get());
+      if (!status.ok()) {
+        FailAllLocked(Status(StatusCode::kUnavailable, status.message()),
+                      done);
+      }
+    }
+  }
+
+  // Makes the leader's ppoll return. The eventfd stays readable until the
+  // leader drains it, so a wake sent before it enters ppoll is not lost.
+  void WakeReaderLocked() {
+    if (reader_active) {
+      const uint64_t one = 1;
+      const ssize_t n = ::write(wake_fd.get(), &one, sizeof(one));
+      (void)n;  // Only fails when the counter is already nonzero.
+    }
   }
 
   Status FlushLocked() {
@@ -638,6 +700,14 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
         WritevQueue(fd.get(), &out, &out_head, nullptr, &blocked);
     if (!status.ok()) {
       return status;
+    }
+    if (!loop_owned) {
+      // The leader polls for writability while frames are queued; re-arm it
+      // if these were queued behind its ppoll.
+      if (blocked) {
+        WakeReaderLocked();
+      }
+      return Status::Ok();
     }
     if (blocked && !want_write) {
       want_write = true;
@@ -649,75 +719,101 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
     return Status::Ok();
   }
 
-  // Drops the connection and moves every in-flight call into `done` with
-  // `status` — the fail-fast contract: pipelined callers learn about a dead
-  // connection immediately instead of serially timing out.
-  void FailAllLocked(const Status& status,
-                     std::vector<Completion>* done) {
+  // Hands `result` to the caller of `call`: a synchronous waiter in place
+  // (notified under `mu`, as it may return the moment it sees the result),
+  // an async callback through `done`, to run once `mu` is released.
+  static void CompleteLocked(PendingCall& call, Result<proto::Message> result,
+                             std::vector<Completion>* done) {
+    if (call.waiter != nullptr) {
+      call.waiter->result = std::move(result);
+      call.waiter->cv.notify_one();
+    } else {
+      done->emplace_back(std::move(call.callback), std::move(result));
+    }
+  }
+
+  // Drops the connection and fails every in-flight call with `status` — the
+  // fail-fast contract: pipelined callers learn about a dead connection
+  // immediately instead of serially timing out. shutdown(2) before close
+  // wakes a leader blocked in ppoll on the socket.
+  void FailAllLocked(const Status& status, std::vector<Completion>* done) {
     if (fd.valid()) {
-      loop->UnregisterFd(fd.get());
+      if (loop_owned) {
+        loop->UnregisterFd(fd.get());
+      }
+      (void)::shutdown(fd.get(), SHUT_RDWR);
       fd.Reset();
+      ++fd_generation;
+      WakeReaderLocked();
     }
     out.clear();
     out_head = 0;
     want_write = false;
     parser.Reset();
-    for (auto& [id, callback] : pending) {
+    for (auto& [id, call] : pending) {
       Tcp().call_errors->Increment();
-      done->emplace_back(std::move(callback), Result<proto::Message>(status));
+      CompleteLocked(call, Result<proto::Message>(status), done);
     }
     pending.clear();
+  }
+
+  // The one frame-dispatch routine, run under `mu` by whichever thread reads
+  // the socket: the loop (OnEvent) once it owns the socket, else the
+  // synchronous leader after ppoll. Flushes on writability, fails every call
+  // when the connection dies, and completes each parsed reply by request id.
+  void ReadLocked(uint32_t events, std::vector<Completion>* done) {
+    if (events & (EPOLLERR | EPOLLHUP)) {
+      FailAllLocked(Status(StatusCode::kUnavailable, "connection reset"),
+                    done);
+      return;
+    }
+    if (events & EPOLLOUT) {
+      const Status status = FlushLocked();
+      if (!status.ok()) {
+        FailAllLocked(Status(StatusCode::kUnavailable, status.message()),
+                      done);
+      }
+    }
+    if (!fd.valid() || !(events & EPOLLIN)) {
+      return;
+    }
+    const bool alive = DrainSocketInto(fd.get(), &parser);
+    while (fd.valid()) {
+      std::optional<FrameParser::Frame> frame;
+      const Status status = parser.Next(&frame);
+      if (!status.ok()) {
+        // Reply stream desynchronized: every in-flight call gets the
+        // corruption status (a reply cannot be attributed safely).
+        FailAllLocked(status, done);
+        break;
+      }
+      if (!frame.has_value()) {
+        break;
+      }
+      Tcp().frames_received->Increment();
+      auto it = pending.find(frame->request_id);
+      if (it == pending.end()) {
+        // Reply to a call that already timed out; discard, keep going.
+        PILEUS_LOG(kDebug) << "discarding stale reply id "
+                           << frame->request_id;
+        continue;
+      }
+      CompleteLocked(it->second, proto::DecodeMessage(frame->message_bytes),
+                     done);
+      pending.erase(it);
+    }
+    if (!alive && fd.valid()) {
+      FailAllLocked(
+          Status(StatusCode::kUnavailable, "connection closed by peer"), done);
+    }
   }
 
   void OnEvent(uint32_t events) {
     std::vector<Completion> done;
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (closed || !fd.valid()) {
-        // Stale dispatch for an fd already torn down.
-      } else if (events & (EPOLLERR | EPOLLHUP)) {
-        FailAllLocked(Status(StatusCode::kUnavailable, "connection reset"),
-                      &done);
-      } else {
-        if (events & EPOLLOUT) {
-          const Status status = FlushLocked();
-          if (!status.ok()) {
-            FailAllLocked(
-                Status(StatusCode::kUnavailable, status.message()), &done);
-          }
-        }
-        if (fd.valid() && (events & EPOLLIN)) {
-          const bool alive = DrainSocketInto(fd.get(), &parser);
-          while (fd.valid()) {
-            std::optional<FrameParser::Frame> frame;
-            const Status status = parser.Next(&frame);
-            if (!status.ok()) {
-              // Reply stream desynchronized: every in-flight call gets the
-              // corruption status (a reply cannot be attributed safely).
-              FailAllLocked(status, &done);
-              break;
-            }
-            if (!frame.has_value()) {
-              break;
-            }
-            Tcp().frames_received->Increment();
-            auto it = pending.find(frame->request_id);
-            if (it == pending.end()) {
-              // Reply to a call that already timed out; discard, keep going.
-              PILEUS_LOG(kDebug)
-                  << "discarding stale reply id " << frame->request_id;
-              continue;
-            }
-            done.emplace_back(std::move(it->second),
-                              proto::DecodeMessage(frame->message_bytes));
-            pending.erase(it);
-          }
-          if (!alive && fd.valid()) {
-            FailAllLocked(
-                Status(StatusCode::kUnavailable, "connection closed by peer"),
-                &done);
-          }
-        }
+      if (!closed && fd.valid()) {  // Else a stale dispatch for a closed fd.
+        ReadLocked(events, &done);
       }
     }
     for (auto& [callback, result] : done) {
@@ -733,7 +829,7 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
       if (it == pending.end()) {
         return;  // Completed (or failed) before the deadline.
       }
-      callback = std::move(it->second);
+      callback = std::move(it->second.callback);
       pending.erase(it);
     }
     // The connection stays up: one slow request must not sink the other
@@ -741,6 +837,118 @@ struct TcpChannel::State : std::enable_shared_from_this<TcpChannel::State> {
     Tcp().call_errors->Increment();
     callback(Result<proto::Message>(
         Status(StatusCode::kTimeout, "call deadline exceeded")));
+  }
+
+  // One synchronous attempt. Arms no timer: the caller enforces its own
+  // deadline by erasing its pending entry. While the loop does not own the
+  // socket, callers take turns reading it (leader/follower) and no loop
+  // thread is woken.
+  Result<proto::Message> CallSync(const proto::Message& request,
+                                  MicrosecondCount timeout_us) {
+    const bool bounded = timeout_us > 0;
+    const Deadline deadline =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(timeout_us);
+    SyncWaiter waiter;
+    std::vector<Completion> done;
+    std::unique_lock<std::mutex> lock(mu);
+    if (closed) {
+      return Status(StatusCode::kCancelled, "channel destroyed");
+    }
+    Status status = EnsureConnectedLocked(timeout_us);
+    if (!status.ok()) {
+      Tcp().call_errors->Increment();
+      return status;
+    }
+    const uint64_t id = next_id++;
+    pending.emplace(id, PendingCall{nullptr, &waiter});
+    out.push_back(EncodeWireFrame(id, request));
+    status = FlushLocked();
+    if (!status.ok()) {
+      FailAllLocked(Status(StatusCode::kUnavailable, status.message()),
+                    &done);
+    }
+    while (!waiter.result.has_value()) {
+      if (bounded && std::chrono::steady_clock::now() >= deadline) {
+        pending.erase(id);
+        Tcp().call_errors->Increment();
+        waiter.result = Status(StatusCode::kTimeout, "call deadline exceeded");
+      } else if (loop_owned || reader_active) {
+        if (bounded) {
+          waiter.cv.wait_until(lock, deadline);
+        } else {
+          waiter.cv.wait(lock);
+        }
+      } else {
+        LeadRead(lock, bounded, deadline, &done);
+      }
+    }
+    PromoteReaderLocked();
+    lock.unlock();
+    for (auto& [callback, result] : done) {
+      callback(std::move(result));
+    }
+    return std::move(*waiter.result);
+  }
+
+  // Waits in ppoll as the one reading caller, then dispatches what arrived.
+  // A caller only leads while its own call is pending, and every pending
+  // call is failed when `fd` closes, so `fd` is open here.
+  void LeadRead(std::unique_lock<std::mutex>& lock, bool bounded,
+                Deadline deadline, std::vector<Completion>* done) {
+    if (!wake_fd.valid()) {
+      wake_fd = UniqueFd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
+      if (!wake_fd.valid()) {
+        FailAllLocked(Errno("eventfd"), done);
+        return;
+      }
+    }
+    struct pollfd fds[2] = {
+        {fd.get(), static_cast<short>(out.empty() ? POLLIN : POLLIN | POLLOUT),
+         0},
+        {wake_fd.get(), POLLIN, 0}};
+    const uint64_t generation = fd_generation;
+    reader_active = true;
+    lock.unlock();
+    struct timespec left_ts;
+    if (bounded) {
+      const int64_t left_ns = std::max<int64_t>(
+          0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 deadline - std::chrono::steady_clock::now())
+                 .count());
+      left_ts.tv_sec = static_cast<time_t>(left_ns / 1'000'000'000);
+      left_ts.tv_nsec = static_cast<long>(left_ns % 1'000'000'000);
+    }
+    const int ready = ::ppoll(fds, 2, bounded ? &left_ts : nullptr, nullptr);
+    const Status poll_status = ready < 0 && errno != EINTR
+                                   ? Errno("ppoll")
+                                   : Status::Ok();
+    lock.lock();
+    reader_active = false;
+    if (fds[1].revents & POLLIN) {
+      uint64_t count = 0;
+      const ssize_t n = ::read(wake_fd.get(), &count, sizeof(count));
+      (void)n;
+    }
+    if (!poll_status.ok()) {
+      FailAllLocked(poll_status, done);
+    } else if (ready > 0 && fds[0].revents != 0 && !loop_owned &&
+               generation == fd_generation) {
+      ReadLocked(static_cast<uint32_t>(fds[0].revents), done);
+    }
+  }
+
+  // A synchronous caller is leaving: if no one is reading, wake one waiter
+  // still pending to take over the socket.
+  void PromoteReaderLocked() {
+    if (loop_owned || reader_active) {
+      return;
+    }
+    for (auto& [id, call] : pending) {
+      if (call.waiter != nullptr) {
+        call.waiter->cv.notify_one();
+        return;
+      }
+    }
   }
 
   size_t InFlight() {
@@ -785,6 +993,7 @@ void TcpChannel::CallAsync(const proto::Message& request,
           Result<proto::Message>(
               Status(StatusCode::kCancelled, "channel destroyed")));
     } else {
+      state->HandToLoopLocked(&done);
       Status status = state->EnsureConnectedLocked(timeout_us);
       if (!status.ok()) {
         Tcp().call_errors->Increment();
@@ -792,7 +1001,7 @@ void TcpChannel::CallAsync(const proto::Message& request,
                           Result<proto::Message>(status));
       } else {
         id = state->next_id++;
-        state->pending.emplace(id, std::move(callback));
+        state->pending.emplace(id, State::PendingCall{std::move(callback)});
         state->out.push_back(EncodeWireFrame(id, request));
         status = state->FlushLocked();
         if (!status.ok()) {
@@ -834,26 +1043,7 @@ Result<proto::Message> TcpChannel::Call(const proto::Message& request,
                    : last;
       }
     }
-    struct Waiter {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-      Result<proto::Message> result{Status::Ok()};
-    };
-    auto waiter = std::make_shared<Waiter>();
-    CallAsync(request, remaining,
-              [waiter](Result<proto::Message> result) {
-                std::lock_guard<std::mutex> lock(waiter->mu);
-                waiter->result = std::move(result);
-                waiter->done = true;
-                waiter->cv.notify_one();
-              });
-    Result<proto::Message> result{Status::Ok()};
-    {
-      std::unique_lock<std::mutex> lock(waiter->mu);
-      waiter->cv.wait(lock, [&waiter] { return waiter->done; });
-      result = std::move(waiter->result);
-    }
+    Result<proto::Message> result = state_->CallSync(request, remaining);
     if (result.ok()) {
       if (artificial_delay_us_ > 0) {
         std::this_thread::sleep_for(

@@ -16,8 +16,15 @@
 //    coalesce into single syscalls. An AsyncHandler may complete on another
 //    thread entirely (WAL group commit acks ride this path).
 //  - TcpChannel::CallAsync sends without blocking and invokes a completion
-//    callback on a shared client event loop; the synchronous Channel::Call
-//    API is implemented on top of it.
+//    callback on a shared client event loop, which owns the socket from the
+//    channel's first CallAsync on.
+//  - TcpChannel::Call on a channel no CallAsync has touched involves no loop
+//    thread: the socket is never registered with a loop. Callers read it
+//    themselves, one at a time (the leader waits in ppoll with a microsecond
+//    deadline, the others on their own condition variables), through the
+//    same frame-dispatch routine the loop uses, and each caller enforces its
+//    own deadline, so no loop timer is armed. Once the loop owns the socket,
+//    synchronous callers wait for it to hand them their reply.
 
 #ifndef PILEUS_SRC_NET_TCP_H_
 #define PILEUS_SRC_NET_TCP_H_
@@ -177,8 +184,8 @@ class TcpChannel : public Channel {
 
   // `loop` pins the channel to a specific event loop instead of the shared
   // client pool; it must outlive the channel (and stay running for async
-  // completions to fire). The synchronous Call must then never be invoked
-  // from that loop's thread — it would wait on itself.
+  // completions to fire). Once CallAsync has been used, the synchronous Call
+  // must never be invoked from that loop's thread — it would wait on itself.
   explicit TcpChannel(uint16_t port,
                       MicrosecondCount artificial_one_way_delay_us = 0,
                       EventLoop* loop = nullptr);
@@ -187,9 +194,10 @@ class TcpChannel : public Channel {
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
-  // Synchronous call, implemented over CallAsync. Retries once on a fresh
-  // connection when the failure is kUnavailable and deadline budget remains
-  // (a server restart mid-stream recovers transparently).
+  // Synchronous call; reads its own reply unless a CallAsync has handed the
+  // socket to the loop (see the execution model above). Retries once on a
+  // fresh connection when the failure is kUnavailable and deadline budget
+  // remains (a server restart mid-stream recovers transparently).
   Result<proto::Message> Call(const proto::Message& request,
                               MicrosecondCount timeout_us) override;
 

@@ -653,18 +653,21 @@ std::string_view MessageTypeName(MessageType type) {
 }
 
 std::string EncodeMessage(const Message& message) {
-  Encoder enc;
+  std::string out;
+  AppendEncodedMessage(message, &out);
+  return out;
+}
+
+void AppendEncodedMessage(const Message& message, std::string* out) {
+  const size_t start = out->size();
+  Encoder enc(std::move(*out));
   enc.PutUint8(static_cast<uint8_t>(TypeOf(message)));
   enc.PutUint8(kWireVersion);
   std::visit([&enc](const auto& m) { EncodeBody(enc, m); }, message);
   // CRC-32 trailer over everything above; a flipped byte anywhere in the
   // frame (type, version, or body) fails the check on decode.
-  std::string out = enc.Release();
-  const uint32_t crc = Crc32(out);
-  Encoder trailer;
-  trailer.PutFixed32(crc);
-  out += trailer.buffer();
-  return out;
+  enc.PutFixed32(Crc32(std::string_view(enc.buffer()).substr(start)));
+  *out = enc.Release();
 }
 
 Result<Message> DecodeMessage(std::string_view bytes) {

@@ -363,8 +363,12 @@ bool IsDataPathRequest(const Message& message);
 // The rejection an overloaded node answers a shed request with.
 Message MakeOverloadedReply(uint32_t retry_after_ms);
 
-// Serializes `message` (type tag + version + body) into a byte string.
+// Serializes `message` (type tag + version + body + CRC-32 trailer) into a
+// byte string.
 std::string EncodeMessage(const Message& message);
+// Appends exactly the bytes EncodeMessage returns to `out`, so a transport
+// can place its frame header and the message in one buffer.
+void AppendEncodedMessage(const Message& message, std::string* out);
 
 // Parses a byte string produced by EncodeMessage.
 Result<Message> DecodeMessage(std::string_view bytes);

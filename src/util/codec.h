@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -24,6 +25,9 @@ namespace pileus {
 class Encoder {
  public:
   Encoder() = default;
+  // Appends after the bytes already in `buf` (build a frame header and its
+  // message in one buffer; take it back with Release()).
+  explicit Encoder(std::string buf) : buf_(std::move(buf)) {}
 
   void PutUint8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 

@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -293,6 +297,106 @@ TEST(NetStressTest, StopWithDeferredRepliesInFlightDropsNoCallback) {
       parked->held.front()(proto::GetReply{});  // Must be a safe no-op.
     }
   }
+}
+
+TEST(NetStressTest, SyncCallersHandOffTheReaderRole) {
+  // Eight threads make only synchronous Calls on one channel, so they take
+  // turns reading the socket. The server answers out of order after small
+  // random delays, and every fifth call has a deadline short enough to
+  // expire now and then, so readers time out and hand the role on mid-burst.
+  struct Held {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool stop = false;
+    std::vector<std::pair<proto::Message, std::function<void(proto::Message)>>>
+        requests;
+  };
+  auto held = std::make_shared<Held>();
+  TcpServer server;
+  ASSERT_TRUE(server
+                  .StartAsync(0,
+                              [held](const proto::Message& request,
+                                     std::function<void(proto::Message)>
+                                         done) {
+                                std::lock_guard<std::mutex> lock(held->mu);
+                                held->requests.emplace_back(request,
+                                                            std::move(done));
+                                held->cv.notify_one();
+                              })
+                  .ok());
+  std::thread replier([held] {
+    std::mt19937 rng(7);
+    std::unique_lock<std::mutex> lock(held->mu);
+    while (true) {
+      held->cv.wait(lock,
+                    [&] { return held->stop || !held->requests.empty(); });
+      if (held->requests.empty()) {
+        return;  // Stopped and drained.
+      }
+      const size_t pick = rng() % held->requests.size();
+      std::swap(held->requests[pick], held->requests.back());
+      auto [request, done] = std::move(held->requests.back());
+      held->requests.pop_back();
+      const auto delay = std::chrono::microseconds(rng() % 300);
+      lock.unlock();
+      std::this_thread::sleep_for(delay);
+      done(Echo(request));
+      lock.lock();
+    }
+  });
+
+  TcpChannel channel(server.port());
+  constexpr int kThreads = 8;
+  constexpr int kOpsEach = 100;
+  const MicrosecondCount kShortUs = MillisecondsToMicroseconds(1);
+  const MicrosecondCount kLongUs = SecondsToMicroseconds(10);
+  // Scheduling slack past a deadline before a return counts as late.
+  const MicrosecondCount kSlackUs = MillisecondsToMicroseconds(100);
+  std::atomic<int> ok{0};
+  std::atomic<int> wrong_payloads{0};
+  std::atomic<int> late{0};
+  std::atomic<int> unexpected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOpsEach; ++i) {
+        proto::GetRequest request;
+        request.key = std::to_string(t) + ":" + std::to_string(i);
+        const MicrosecondCount timeout_us = i % 5 == 4 ? kShortUs : kLongUs;
+        const MicrosecondCount start_us = RealClock::Instance()->NowMicros();
+        Result<proto::Message> reply = channel.Call(request, timeout_us);
+        const MicrosecondCount elapsed_us =
+            RealClock::Instance()->NowMicros() - start_us;
+        if (elapsed_us > timeout_us + kSlackUs) {
+          ++late;
+        }
+        if (reply.ok()) {
+          ++ok;
+          if (std::get<proto::GetReply>(reply.value()).value !=
+              "echo:" + request.key) {
+            ++wrong_payloads;
+          }
+        } else if (reply.status().code() != StatusCode::kTimeout ||
+                   timeout_us != kShortUs) {
+          ++unexpected;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(held->mu);
+    held->stop = true;
+    held->cv.notify_one();
+  }
+  replier.join();
+  EXPECT_EQ(wrong_payloads.load(), 0);
+  EXPECT_EQ(late.load(), 0);
+  EXPECT_EQ(unexpected.load(), 0);
+  EXPECT_GE(ok.load(), kThreads * kOpsEach * 4 / 5);
+  EXPECT_EQ(channel.in_flight(), 0u);
 }
 
 }  // namespace

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
 #include "src/net/tcp.h"
+#include "src/proto/messages.h"
 #include "src/storage/storage_node.h"
 
 namespace pileus::net {
@@ -469,6 +474,284 @@ TEST(TcpTest, ServesRealStorageNode) {
   EXPECT_TRUE(reply.found);
   EXPECT_EQ(reply.value, "v");
   EXPECT_EQ(reply.value_timestamp, ts);
+}
+
+// --- Codec: one buffer per frame, same bytes as the separate encodings ---
+
+std::vector<proto::Message> SampleMessages() {
+  std::vector<proto::Message> messages;
+  proto::GetRequest get;
+  get.table = "orders";
+  get.key = "user42";
+  get.tenant = "t1";
+  get.deadline_us = 1500;
+  get.utility_micros = 250000;
+  get.strong_read = true;
+  messages.push_back(get);
+  proto::GetReply reply;
+  reply.found = true;
+  reply.value = std::string("\x00\x01\xffx", 4);
+  reply.value_timestamp = Timestamp{123, 4};
+  reply.high_timestamp = Timestamp{456, 7};
+  reply.served_by_primary = true;
+  reply.config_epoch = 9;
+  reply.primary_hint = "p";
+  messages.push_back(reply);
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = "k";
+  put.value = "v";
+  messages.push_back(put);
+  proto::ErrorReply err;
+  err.code = StatusCode::kOverloaded;
+  err.message = "busy";
+  err.retry_after_ms = 30;
+  messages.push_back(err);
+  return messages;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
+std::string Le(uint64_t v, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  return out;
+}
+
+TEST(TcpCodecTest, WireFramesKeepTheirBytes) {
+  // Captured from the encoder that built the message, its CRC trailer and
+  // the frame in separate buffers; the one-buffer encoder must not move a
+  // byte.
+  const std::vector<std::string> golden = {
+      "2500000008070605040302010106066f726465727306757365723432027431dc0b90a1"
+      "0f01ac8361dc",
+      "1f0000001918060504030201020601040001ff78f601049007070109017000243"
+      "61f3b",
+      "160000002a2906050403020103060174016b0176000027b85462",
+      "180000003b3a0605040302010d060d046275737900001e003a4d7624",
+  };
+  const std::vector<proto::Message> messages = SampleMessages();
+  ASSERT_EQ(messages.size(), golden.size());
+  uint64_t id = 0x0102030405060708ull;
+  for (size_t i = 0; i < messages.size(); ++i, id += 0x1111) {
+    EXPECT_EQ(Hex(EncodeWireFrame(id, messages[i])), golden[i]) << i;
+  }
+}
+
+TEST(TcpCodecTest, WireFrameIsLengthIdAndEncodedMessage) {
+  std::vector<proto::Message> messages = SampleMessages();
+  proto::PutRequest big;  // Grows the buffer past its initial reserve.
+  big.table = "t";
+  big.key = "k";
+  big.value.assign(100 * 1000, 'x');
+  messages.push_back(big);
+  for (const proto::Message& message : messages) {
+    const std::string encoded = proto::EncodeMessage(message);
+    const uint64_t id = 77;
+    EXPECT_EQ(EncodeWithRequestId(id, message), Le(id, 8) + encoded);
+    EXPECT_EQ(EncodeWireFrame(id, message),
+              Le(8 + encoded.size(), 4) + Le(id, 8) + encoded);
+    std::string appended = "prefix";
+    proto::AppendEncodedMessage(message, &appended);
+    EXPECT_EQ(appended, "prefix" + encoded);
+  }
+}
+
+// --- Synchronous callers read their own replies ---
+
+// An async server that parks every Get whose key starts with "park" until the
+// test releases it, and echoes everything else at once.
+struct ParkingServer {
+  struct Parked {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::pair<std::string, std::function<void(proto::Message)>>>
+        held;
+  };
+  TcpServer server;
+  std::shared_ptr<Parked> parked = std::make_shared<Parked>();
+
+  Status Start() {
+    return server.StartAsync(
+        0, [parked = parked](const proto::Message& request,
+                             std::function<void(proto::Message)> done) {
+          const auto* get = std::get_if<proto::GetRequest>(&request);
+          if (get != nullptr && get->key.rfind("park", 0) == 0) {
+            std::lock_guard<std::mutex> lock(parked->mu);
+            parked->held.emplace_back(get->key, std::move(done));
+            parked->cv.notify_all();
+            return;
+          }
+          done(Echo(request));
+        });
+  }
+
+  bool WaitParked(size_t n) {
+    std::unique_lock<std::mutex> lock(parked->mu);
+    return parked->cv.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return parked->held.size() >= n; });
+  }
+
+  void ReleaseAll() {
+    std::vector<std::pair<std::string, std::function<void(proto::Message)>>>
+        held;
+    {
+      std::lock_guard<std::mutex> lock(parked->mu);
+      held.swap(parked->held);
+    }
+    for (auto& [key, done] : held) {
+      proto::GetReply reply;
+      reply.found = true;
+      reply.value = "echo:" + key;
+      done(reply);
+    }
+  }
+};
+
+proto::GetRequest GetOf(const std::string& key) {
+  proto::GetRequest request;
+  request.key = key;
+  return request;
+}
+
+MicrosecondCount NowUs() { return RealClock::Instance()->NowMicros(); }
+
+// A synchronous Call on its own thread, recording when it returned.
+struct BackgroundCall {
+  Result<proto::Message> reply{Status::Ok()};
+  MicrosecondCount returned_us = 0;
+  std::thread thread;
+
+  BackgroundCall(TcpChannel& channel, const std::string& key,
+                 MicrosecondCount timeout_us)
+      : thread([this, &channel, key, timeout_us] {
+          reply = channel.Call(GetOf(key), timeout_us);
+          returned_us = NowUs();
+        }) {}
+  ~BackgroundCall() {
+    if (thread.joinable()) {
+      thread.join();
+    }
+  }
+  void Join() { thread.join(); }
+};
+
+TEST(TcpSyncReaderTest, SyncCallsNeedNoRunningLoop) {
+  // Pinned to a loop that never starts: synchronous calls, their replies and
+  // their deadlines must all be handled by the calling thread.
+  ParkingServer parking;
+  ASSERT_TRUE(parking.Start().ok());
+  EventLoop idle_loop;
+  TcpChannel channel(parking.server.port(), 0, &idle_loop);
+  for (int i = 0; i < 3; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    Result<proto::Message> reply =
+        channel.Call(GetOf(key), SecondsToMicroseconds(5));
+    ASSERT_TRUE(reply.ok()) << reply.status();
+    EXPECT_EQ(std::get<proto::GetReply>(reply.value()).value, "echo:" + key);
+  }
+  Result<proto::Message> timed_out =
+      channel.Call(GetOf("park"), MillisecondsToMicroseconds(50));
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(channel.in_flight(), 0u);
+}
+
+TEST(TcpSyncReaderTest, ServerStopReleasesBlockedReader) {
+  ParkingServer parking;
+  ASSERT_TRUE(parking.Start().ok());
+  TcpChannel channel(parking.server.port());
+  BackgroundCall call(channel, "park", SecondsToMicroseconds(10));
+  const bool parked = parking.WaitParked(1);
+  const MicrosecondCount event_us = NowUs();
+  parking.server.Stop();
+  call.Join();
+  ASSERT_TRUE(parked);
+  EXPECT_EQ(call.reply.status().code(), StatusCode::kUnavailable);
+  EXPECT_LT(call.returned_us - event_us, MillisecondsToMicroseconds(200));
+  EXPECT_EQ(channel.in_flight(), 0u);
+}
+
+TEST(TcpSyncReaderTest, AsyncTakeoverReleasesBlockedReader) {
+  // A synchronous caller is parked reading the socket when another thread's
+  // first CallAsync hands the socket to the event loop. The loop then drains
+  // every reply, so the parked reader must stop reading and take its reply
+  // from the loop.
+  ParkingServer parking;
+  ASSERT_TRUE(parking.Start().ok());
+  struct AsyncDone {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    bool on_caller_thread = true;
+    Result<proto::Message> reply{Status::Ok()};
+  } async;
+  TcpChannel channel(parking.server.port());
+  BackgroundCall call(channel, "park", SecondsToMicroseconds(10));
+  ASSERT_TRUE(parking.WaitParked(1));
+
+  const std::thread::id test_thread = std::this_thread::get_id();
+  const std::thread::id sync_thread = call.thread.get_id();
+  channel.CallAsync(GetOf("async"), SecondsToMicroseconds(10),
+                    [&](Result<proto::Message> reply) {
+                      std::lock_guard<std::mutex> lock(async.mu);
+                      const std::thread::id self = std::this_thread::get_id();
+                      async.on_caller_thread =
+                          self == test_thread || self == sync_thread;
+                      async.reply = std::move(reply);
+                      async.done = true;
+                      async.cv.notify_all();
+                    });
+  {
+    std::unique_lock<std::mutex> lock(async.mu);
+    ASSERT_TRUE(async.cv.wait_for(lock, std::chrono::seconds(5),
+                                  [&] { return async.done; }));
+    ASSERT_TRUE(async.reply.ok()) << async.reply.status();
+    EXPECT_EQ(std::get<proto::GetReply>(async.reply.value()).value,
+              "echo:async");
+    EXPECT_FALSE(async.on_caller_thread);  // Completed on a loop thread.
+  }
+
+  const MicrosecondCount event_us = NowUs();
+  parking.ReleaseAll();
+  call.Join();
+  ASSERT_TRUE(call.reply.ok()) << call.reply.status();
+  EXPECT_EQ(std::get<proto::GetReply>(call.reply.value()).value, "echo:park");
+  EXPECT_LT(call.returned_us - event_us, MillisecondsToMicroseconds(200));
+  EXPECT_EQ(channel.in_flight(), 0u);
+}
+
+TEST(TcpSyncReaderTest, TimedOutReaderDiscardsLateReplyAndChannelRecovers) {
+  ParkingServer parking;
+  ASSERT_TRUE(parking.Start().ok());
+  TcpChannel channel(parking.server.port());
+  const MicrosecondCount timeout_us = MillisecondsToMicroseconds(100);
+  const MicrosecondCount start_us = NowUs();
+  Result<proto::Message> timed_out = channel.Call(GetOf("park"), timeout_us);
+  const MicrosecondCount elapsed_us = NowUs() - start_us;
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
+  EXPECT_GE(elapsed_us, timeout_us);
+  EXPECT_LT(elapsed_us, timeout_us + MillisecondsToMicroseconds(200));
+  EXPECT_EQ(channel.in_flight(), 0u);
+
+  // The late reply lands on a request id nobody waits for any more; the next
+  // call on the same connection reads past it to its own reply.
+  ASSERT_TRUE(parking.WaitParked(1));
+  parking.ReleaseAll();
+  Result<proto::Message> fresh =
+      channel.Call(GetOf("fresh"), SecondsToMicroseconds(10));
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_EQ(std::get<proto::GetReply>(fresh.value()).value, "echo:fresh");
+  EXPECT_EQ(channel.in_flight(), 0u);
 }
 
 }  // namespace
