@@ -2,10 +2,15 @@
 // (Figure 8), minimum-acceptable-read-timestamp computation, monitor updates
 // and estimates, the wire codec and a synchronous TCP round trip. These run
 // on every Get, so their cost bounds the client-side overhead Pileus adds
-// over a plain key-value client.
+// over a plain key-value client. The group-commit benches time the
+// primary's durable Put path, which every Put and read-my-writes Get waits
+// on.
 
 #include <benchmark/benchmark.h>
+#include <stdlib.h>
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +21,8 @@
 #include "src/core/session.h"
 #include "src/core/sla.h"
 #include "src/net/tcp.h"
+#include "src/persist/durable_service.h"
+#include "src/persist/durable_tablet.h"
 #include "src/proto/messages.h"
 
 namespace {
@@ -211,6 +218,88 @@ void BM_TcpSyncCallRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TcpSyncCallRoundTrip)->UseRealTime();
+
+// A durable primary with group commit on, journaling to a fresh directory
+// under /tmp: every timed Put goes through the node lock and the WAL append,
+// and is acked only after a real fdatasync covers it.
+class GroupCommitFixture {
+ public:
+  GroupCommitFixture() {
+    char tmpl[] = "/tmp/pileus_bench_group_commit_XXXXXX";
+    if (::mkdtemp(tmpl) == nullptr) {
+      return;
+    }
+    directory_ = tmpl;
+    persist::DurableTablet::Options options;
+    options.directory = directory_;
+    options.tablet.is_primary = true;
+    auto opened = persist::DurableTablet::Open(options, RealClock::Instance());
+    if (!opened.ok()) {
+      return;
+    }
+    tablet_ = std::move(opened).value();
+    persist::GroupCommitConfig config;
+    config.enabled = true;
+    service_ = std::make_unique<persist::DurableStorageService>(
+        "t", tablet_.get(), config);
+  }
+  ~GroupCommitFixture() {
+    service_.reset();
+    tablet_.reset();
+    if (!directory_.empty()) {
+      std::filesystem::remove_all(directory_);
+    }
+  }
+
+  bool ok() const { return service_ != nullptr; }
+
+  // One acked Put; false when the reply is not a PutReply.
+  bool Put(const std::string& key) {
+    proto::PutRequest put;
+    put.table = "t";
+    put.key = key;
+    put.value = std::string(100, 'v');
+    return std::holds_alternative<proto::PutReply>(service_->Handle(put));
+  }
+
+ private:
+  std::string directory_;
+  std::unique_ptr<persist::DurableTablet> tablet_;
+  std::unique_ptr<persist::DurableStorageService> service_;
+};
+
+// Each benchmark thread is one synchronous writer. Thread 0 builds and tears
+// down the shared primary; the benchmark's start and stop barriers order that
+// against the other writers' loops. Wall time per acked Put per writer.
+void RunGroupCommitWriters(benchmark::State& state) {
+  static GroupCommitFixture* fixture = nullptr;
+  if (state.thread_index() == 0) {
+    fixture = new GroupCommitFixture();
+  }
+  const std::string key = "writer" + std::to_string(state.thread_index());
+  for (auto _ : state) {
+    if (!fixture->ok() || !fixture->Put(key)) {
+      state.SkipWithError("durable Put failed");
+      break;
+    }
+  }
+  if (state.thread_index() == 0) {
+    delete fixture;
+    fixture = nullptr;
+  }
+}
+
+// A lone writer: with nobody to batch with, each Put costs one fsync.
+void BM_GroupCommitLoneAck(benchmark::State& state) {
+  RunGroupCommitWriters(state);
+}
+BENCHMARK(BM_GroupCommitLoneAck)->UseRealTime();
+
+// Eight writers: Puts that arrive during one fsync share the next.
+void BM_GroupCommitConcurrentWriters(benchmark::State& state) {
+  RunGroupCommitWriters(state);
+}
+BENCHMARK(BM_GroupCommitConcurrentWriters)->Threads(8)->UseRealTime();
 
 }  // namespace
 

@@ -142,8 +142,6 @@ class TcpWorld {
     PILEUS_RETURN_IF_ERROR(primary_->AttachTablet(kTable, durable_.get()));
     persist::GroupCommitConfig group_commit;
     group_commit.enabled = true;
-    group_commit.max_delay_us = 500;  // Wall-clock runs are short; a lone
-                                      // write should not stall 2 ms per ack.
     service_ = std::make_unique<persist::DurableStorageService>(
         primary_.get(), group_commit);
     server_ = std::make_unique<net::TcpServer>();

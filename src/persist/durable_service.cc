@@ -29,25 +29,23 @@ DurableStorageService::DurableStorageService(
     PILEUS_LOG(kError) << "attaching durable tablet of table '" << table
                        << "': " << attached;
   }
-  StartGroupCommit(group_commit);
+  StartGroupCommit(group_commit.enabled);
 }
 
 DurableStorageService::DurableStorageService(
     storage::StorageNode* node, const GroupCommitConfig& group_commit)
     : node_(node) {
-  StartGroupCommit(group_commit);
+  StartGroupCommit(group_commit.enabled);
 }
 
-void DurableStorageService::StartGroupCommit(const GroupCommitConfig& config) {
-  if (!config.enabled) {
+void DurableStorageService::StartGroupCommit(bool enabled) {
+  if (!enabled) {
     return;
   }
-  GroupCommitter::Options options;
-  options.max_batch = config.max_batch;
-  options.max_delay_us = config.max_delay_us;
-  // The node serializes each sync against appends and checkpoints.
+  // The node captures each sync's barriers under its lock, after the batch
+  // was taken, and fsyncs them outside it.
   committer_ = std::make_unique<GroupCommitter>(
-      [node = node_] { return node->SyncBackends(); }, options);
+      [node = node_] { return node->SyncBackends(); });
   const Status status = committer_->Start();
   if (!status.ok()) {
     PILEUS_LOG(kError) << "group committer failed to start, falling back to "

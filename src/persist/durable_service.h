@@ -9,9 +9,10 @@
 // the write is applied and appended to the WAL under the node lock, but the
 // reply is released only after a GroupCommitter batch fsync covers it — so
 // every acked write survives a crash, at one fsync per batch instead of per
-// write. Reads still reply immediately (the in-memory tablet already reflects
-// the pending writes, which is exactly the sync_every_append=false memory
-// state).
+// write. The fsync itself runs outside the node lock (SyncBackends), so
+// requests keep being served while it is in flight. Reads still reply
+// immediately (the in-memory tablet already reflects the pending writes,
+// which is exactly the sync_every_append=false memory state).
 
 #ifndef PILEUS_SRC_PERSIST_DURABLE_SERVICE_H_
 #define PILEUS_SRC_PERSIST_DURABLE_SERVICE_H_
@@ -27,10 +28,14 @@
 
 namespace pileus::persist {
 
-// Group-commit knobs for DurableStorageService (namespace scope so it can be
-// brace-initialized at call sites).
+// Group-commit settings for DurableStorageService (namespace scope so it can
+// be brace-initialized at call sites).
 struct GroupCommitConfig {
   bool enabled = false;
+  // Ignored: the committer syncs as soon as an ack waits, and a batch is
+  // whatever queued during the previous sync. Kept only so the frozen
+  // perfbench/e2e_bench.cc still compiles; delete both fields at the next
+  // change to the benchmark.
   size_t max_batch = 64;
   MicrosecondCount max_delay_us = 2000;
 };
@@ -68,7 +73,7 @@ class DurableStorageService {
   uint64_t requests_served() const { return node_->requests_served(); }
 
  private:
-  void StartGroupCommit(const GroupCommitConfig& config);
+  void StartGroupCommit(bool enabled);
 
   std::unique_ptr<storage::StorageNode> owned_node_;
   storage::StorageNode* node_;

@@ -60,6 +60,32 @@ std::string FrameCheckpoint(const std::string& payload) {
   return file;
 }
 
+// Makes the entries of `directory` (files created, renamed or made in it)
+// durable. fsync on a file covers its data, not the name pointing at it.
+Status SyncDirectory(const std::string& directory) {
+  const int fd = ::open(directory.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Errno("open", directory);
+  }
+  const int synced = ::fsync(fd);
+  const Status status =
+      synced == 0 ? Status::Ok() : Errno("fsync", directory);
+  ::close(fd);
+  return status;
+}
+
+std::string ParentDirectory(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  if (slash == std::string::npos) {
+    return ".";
+  }
+  return slash == 0 ? "/" : path.substr(0, slash);
+}
+
+// Replaces `path` with `contents` so that a crash leaves the old or the new
+// file, never a mix, and the new one is durable once this returns: the
+// rename is fsynced through the directory before the caller may, say,
+// truncate a WAL the old file still depends on.
 Status WriteFileAtomically(const std::string& path,
                            std::string_view contents) {
   const std::string tmp = path + ".tmp";
@@ -90,7 +116,7 @@ Status WriteFileAtomically(const std::string& path,
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     return Errno("rename", tmp);
   }
-  return Status::Ok();
+  return SyncDirectory(ParentDirectory(path));
 }
 
 struct CheckpointData {
@@ -246,9 +272,14 @@ Result<std::unique_ptr<DurableTablet>> DurableTablet::Open(Options options,
     tablet->SetPrimary(true);
   }
 
+  const bool wal_existed = ::access(wal_path.c_str(), F_OK) == 0;
   Result<WriteAheadLog> wal = WriteAheadLog::Open(wal_path);
   if (!wal.ok()) {
     return wal.status();
+  }
+  if (!wal_existed) {
+    // Records synced into a new WAL are lost with it unless its name is.
+    PILEUS_RETURN_IF_ERROR(SyncDirectory(options.directory));
   }
   const size_t splits = loaded->splits + recovery.split_keys.size();
   return std::unique_ptr<DurableTablet>(
@@ -356,6 +387,9 @@ Result<std::unique_ptr<storage::TabletBackend>> DurableTablet::Split(
   if (::mkdir(child_directory.c_str(), 0755) != 0 && errno != EEXIST) {
     return Errno("mkdir", child_directory);
   }
+  // The child's files are durable only once its directory's name is; the
+  // child checkpoint below syncs the child directory itself.
+  PILEUS_RETURN_IF_ERROR(SyncDirectory(options_.directory));
   // An orphan of an earlier crash mid-split may hold a stale WAL; it must
   // not replay over the checkpoint written below.
   Result<WriteAheadLog> child_wal =

@@ -36,7 +36,7 @@ class DurableTablet : public storage::TabletBackend {
     std::string directory;  // Must exist.
     storage::Tablet::Options tablet;
     // fdatasync after every append (true = no acked write is ever lost;
-    // false = group commit via periodic Checkpoint()/Sync()).
+    // false = group commit via the node's SyncBackends()).
     bool sync_every_append = false;
     // Auto-checkpoint once the WAL exceeds this many bytes (0 = never).
     uint64_t checkpoint_threshold_bytes = 8 * 1024 * 1024;
@@ -109,8 +109,10 @@ class DurableTablet : public storage::TabletBackend {
   Result<std::vector<std::unique_ptr<storage::TabletBackend>>>
   OpenSplitChildren() override;
 
-  // Forces the WAL to stable storage.
-  Status Sync() override { return wal_.Sync(); }
+  // A barrier that fdatasyncs the WAL as it stands now. It holds the WAL's
+  // file open, so a Checkpoint (truncation), Split or destruction before it
+  // runs leaves it syncing the same file, never a closed or reused fd.
+  SyncBarrier CaptureSync() override { return wal_.CaptureSync(); }
 
   storage::Tablet& tablet() override { return *tablet_; }
   const storage::Tablet& tablet() const { return *tablet_; }

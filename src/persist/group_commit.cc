@@ -14,6 +14,10 @@ struct GroupCommitMetrics {
   telemetry::Counter* syncs;
   telemetry::Counter* acks;
   telemetry::Counter* forced;
+  // One sample per sync: the acks it released, and its wall time (barrier
+  // capture plus fdatasync).
+  telemetry::HistogramMetric* batch_acks;
+  telemetry::HistogramMetric* sync_us;
 
   GroupCommitMetrics() {
     telemetry::MetricsRegistry& registry =
@@ -21,6 +25,9 @@ struct GroupCommitMetrics {
     syncs = registry.GetCounter("pileus_persist_group_commit_syncs_total");
     acks = registry.GetCounter("pileus_persist_group_commit_acks_total");
     forced = registry.GetCounter("pileus_persist_group_commit_forced_total");
+    batch_acks =
+        registry.GetHistogram("pileus_persist_group_commit_batch_acks");
+    sync_us = registry.GetHistogram("pileus_persist_wal_sync_us");
   }
 };
 
@@ -63,11 +70,10 @@ void GroupCommitter::AckAfterSync(AckFn ack) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (running_ && !stopping_) {
-      if (queue_.empty()) {
-        first_enqueue_us_ = RealClock::Instance()->NowMicros();
-      }
       queue_.push_back(std::move(ack));
-      cv_.notify_all();
+      if (queue_.size() == 1) {
+        cv_.notify_one();  // Only the first ack of a batch wakes the loop.
+      }
       return;
     }
   }
@@ -77,12 +83,6 @@ void GroupCommitter::AckAfterSync(AckFn ack) {
 }
 
 Status GroupCommitter::SyncNow() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_ || stopping_) {
-      return sync_();
-    }
-  }
   Metrics().forced->Increment();
   struct Waiter {
     std::mutex mu;
@@ -91,20 +91,12 @@ Status GroupCommitter::SyncNow() {
     Status status;
   };
   auto waiter = std::make_shared<Waiter>();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) {
-      first_enqueue_us_ = RealClock::Instance()->NowMicros();
-    }
-    queue_.push_back([waiter](const Status& status) {
-      std::lock_guard<std::mutex> waiter_lock(waiter->mu);
-      waiter->status = status;
-      waiter->done = true;
-      waiter->cv.notify_all();
-    });
-    kick_ = true;
-  }
-  cv_.notify_all();
+  AckAfterSync([waiter](const Status& status) {
+    std::lock_guard<std::mutex> waiter_lock(waiter->mu);
+    waiter->status = status;
+    waiter->done = true;
+    waiter->cv.notify_all();
+  });
   std::unique_lock<std::mutex> lock(waiter->mu);
   waiter->cv.wait(lock, [&waiter] { return waiter->done; });
   return waiter->status;
@@ -113,35 +105,30 @@ Status GroupCommitter::SyncNow() {
 void GroupCommitter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    cv_.wait(lock, [this] { return stopping_ || !queue_.empty() || kick_; });
-    if (stopping_ && queue_.empty()) {
-      break;
+    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      break;  // Stopping, and every registered ack has been released.
     }
-    // Batch window: collect more acks until the batch fills, the oldest
-    // waiter has waited max_delay_us, or someone forces a boundary.
-    if (!kick_ && !stopping_ && options_.max_delay_us > 0) {
-      const MicrosecondCount deadline =
-          first_enqueue_us_ + options_.max_delay_us;
-      while (!kick_ && !stopping_ && queue_.size() < options_.max_batch) {
-        const MicrosecondCount now = RealClock::Instance()->NowMicros();
-        if (now >= deadline) {
-          break;
-        }
-        cv_.wait_for(lock, std::chrono::microseconds(deadline - now));
-      }
-    }
-    kick_ = false;
+    // The batch is everything queued so far; the sync starts only after it
+    // is taken, so it covers every append its acks were registered after.
     std::vector<AckFn> batch;
     batch.swap(queue_);
     lock.unlock();
+    const auto start = std::chrono::steady_clock::now();
     const Status status = sync_();
+    const auto elapsed = std::chrono::steady_clock::now() - start;
     syncs_.fetch_add(1, std::memory_order_relaxed);
-    Metrics().syncs->Increment();
+    GroupCommitMetrics& metrics = Metrics();
+    metrics.syncs->Increment();
+    metrics.batch_acks->Record(static_cast<int64_t>(batch.size()));
+    metrics.sync_us->Record(
+        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+            .count());
     for (AckFn& ack : batch) {
       ack(status);
     }
     acked_.fetch_add(batch.size(), std::memory_order_relaxed);
-    Metrics().acks->Increment(batch.size());
+    metrics.acks->Increment(batch.size());
     lock.lock();
   }
 }

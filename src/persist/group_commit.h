@@ -1,14 +1,16 @@
 // WAL group commit: many concurrent writers share one fsync.
 //
-// The durable write path appends to the WAL under the service lock, then
+// The durable write path appends to the WAL under the node lock, then
 // registers an ack with the GroupCommitter instead of fsyncing inline. A
-// background committer thread runs one Sync() per batch — bounded by
-// max_batch acks or max_delay_us of waiting, whichever comes first — and
-// then releases every registered ack. Because each ack is registered only
-// AFTER its append reached the kernel, and the committer's sync happens
-// after registration, every acked write is on stable storage: the
-// zero-lost-acked-writes invariant of sync_every_append is preserved at a
-// fraction of the fsync count.
+// background committer thread wakes on the first queued ack, takes the whole
+// queue as one batch, runs one Sync() for it at once and then releases every
+// ack in it. Acks that arrive while that sync runs form the next batch, so
+// batches grow with contention and a lone writer never waits on a timer
+// (PostgreSQL's commit_delay defaults to 0 for the same reason). Because
+// each ack is registered only AFTER its append reached the kernel, and the
+// committer's sync starts after it takes the batch, every acked write is on
+// stable storage: the zero-lost-acked-writes invariant of sync_every_append
+// is preserved at a fraction of the fsync count.
 //
 // A write that was appended but whose batch had not synced at crash time is
 // simply never acked — the client sees an unavailable/timeout and the replay
@@ -25,29 +27,20 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/common/status.h"
 
 namespace pileus::persist {
 
 class GroupCommitter {
  public:
-  struct Options {
-    // Sync as soon as this many acks are waiting...
-    size_t max_batch = 64;
-    // ...or once the oldest waiting ack is this old.
-    MicrosecondCount max_delay_us = 2000;
-  };
-
-  // Performs the actual durability barrier (e.g. tablet->Sync() under the
-  // service lock). Runs on the committer thread only.
+  // Performs the actual durability barrier (e.g. StorageNode::SyncBackends).
+  // Runs on the committer thread, after the batch it covers was taken.
   using SyncFn = std::function<Status()>;
   // Receives the outcome of the covering sync. Runs on the committer thread;
   // must not call back into the committer.
   using AckFn = std::function<void(const Status&)>;
 
-  GroupCommitter(SyncFn sync, Options options)
-      : sync_(std::move(sync)), options_(options) {}
+  explicit GroupCommitter(SyncFn sync) : sync_(std::move(sync)) {}
   ~GroupCommitter() { Stop(); }
 
   GroupCommitter(const GroupCommitter&) = delete;
@@ -64,7 +57,7 @@ class GroupCommitter {
   // committer is not running, syncs inline and acks immediately.
   void AckAfterSync(AckFn ack);
 
-  // Forces a batch boundary now and blocks until that sync completes
+  // Queues a waiter like any other ack and blocks until its sync completes
   // (replication pulls use this to cover an applied batch).
   Status SyncNow();
 
@@ -75,16 +68,13 @@ class GroupCommitter {
   void Loop();
 
   const SyncFn sync_;
-  const Options options_;
 
   std::thread thread_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool running_ = false;
   bool stopping_ = false;
-  bool kick_ = false;  // SyncNow: skip the batching delay.
   std::vector<AckFn> queue_;
-  MicrosecondCount first_enqueue_us_ = 0;
 
   std::atomic<uint64_t> syncs_{0};
   std::atomic<uint64_t> acked_{0};

@@ -50,15 +50,15 @@ Status WriteAll(int fd, const char* data, size_t len,
 
 }  // namespace
 
+RecordLog::File::~File() { ::close(fd); }
+
 RecordLog& RecordLog::operator=(RecordLog&& other) noexcept {
   if (this != &other) {
-    Close();
     path_ = std::move(other.path_);
-    fd_ = other.fd_;
+    file_ = std::move(other.file_);
     bytes_written_ = other.bytes_written_;
     fault_injector_ = other.fault_injector_;
     crash_prefix_ = std::move(other.crash_prefix_);
-    other.fd_ = -1;
     other.bytes_written_ = 0;
     other.fault_injector_ = nullptr;
   }
@@ -72,7 +72,7 @@ Result<RecordLog> RecordLog::Open(const std::string& path) {
   }
   RecordLog log;
   log.path_ = path;
-  log.fd_ = fd;
+  log.file_ = std::make_shared<const File>(fd, path);
   struct stat st;
   if (::fstat(fd, &st) == 0) {
     log.bytes_written_ = static_cast<uint64_t>(st.st_size);
@@ -81,7 +81,7 @@ Result<RecordLog> RecordLog::Open(const std::string& path) {
 }
 
 Status RecordLog::Append(uint8_t kind, std::string_view payload) {
-  if (fd_ < 0) {
+  if (file_ == nullptr) {
     return Status(StatusCode::kInternal, "record log is not open");
   }
   std::string record;
@@ -93,43 +93,44 @@ Status RecordLog::Append(uint8_t kind, std::string_view payload) {
   EncodeFixed32(Crc32(payload), fixed);
   record.append(fixed, 4);
   record.append(payload);
-  PILEUS_RETURN_IF_ERROR(WriteAll(fd_, record.data(), record.size(), path_));
+  PILEUS_RETURN_IF_ERROR(
+      WriteAll(file_->fd, record.data(), record.size(), path_));
   bytes_written_ += record.size();
   return Status::Ok();
 }
 
-Status RecordLog::Sync() {
-  if (fd_ < 0) {
-    return Status(StatusCode::kInternal, "record log is not open");
+std::function<Status()> RecordLog::CaptureSync() const {
+  std::string crash_point;
+  if (fault_injector_ != nullptr) {
+    crash_point = crash_prefix_ + "after_sync";
   }
-  if (::fdatasync(fd_) != 0) {
-    return Errno("fdatasync", path_);
-  }
-  if (fault_injector_ != nullptr &&
-      fault_injector_->ShouldCrash(crash_prefix_ + "after_sync")) {
-    return Status(StatusCode::kCancelled,
-                  "crash point " + crash_prefix_ + "after_sync");
-  }
-  return Status::Ok();
+  return [file = file_, injector = fault_injector_,
+          crash_point = std::move(crash_point)]() -> Status {
+    if (file == nullptr) {
+      return Status(StatusCode::kInternal, "record log is not open");
+    }
+    if (::fdatasync(file->fd) != 0) {
+      return Errno("fdatasync", file->path);
+    }
+    if (injector != nullptr && injector->ShouldCrash(crash_point)) {
+      return Status(StatusCode::kCancelled, "crash point " + crash_point);
+    }
+    return Status::Ok();
+  };
 }
 
 Status RecordLog::Reset() {
-  if (fd_ < 0) {
+  if (file_ == nullptr) {
     return Status(StatusCode::kInternal, "record log is not open");
   }
-  if (::ftruncate(fd_, 0) != 0) {
+  if (::ftruncate(file_->fd, 0) != 0) {
     return Errno("ftruncate", path_);
   }
   bytes_written_ = 0;
   return Status::Ok();
 }
 
-void RecordLog::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
+void RecordLog::Close() { file_.reset(); }
 
 Result<RecordLog::ReplayStats> RecordLog::Replay(
     const std::string& path,

@@ -20,12 +20,19 @@
 // fdatasync, returning kAborted as if the process died the instant its
 // record became durable. The torture harness (DESIGN.md Section 15) uses
 // this to prove recovery handles a crash at the durability boundary itself.
+//
+// Sync in two steps: CaptureSync() takes a barrier under whatever lock
+// orders the appends, and running the barrier does the fdatasync later,
+// without that lock. The barrier shares ownership of the open file, so a
+// Close(), Reset() or move of the log in between never leaves it syncing a
+// closed or reused fd.
 
 #ifndef PILEUS_SRC_PERSIST_RECORD_LOG_H_
 #define PILEUS_SRC_PERSIST_RECORD_LOG_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -51,7 +58,7 @@ class RecordLog {
   // Opens (creating if needed) the log at `path` for appending.
   static Result<RecordLog> Open(const std::string& path);
 
-  bool is_open() const { return fd_ >= 0; }
+  bool is_open() const { return file_ != nullptr; }
 
   // Appends one record; data reaches the kernel but is not fsynced until
   // Sync() (group-commit friendly).
@@ -59,7 +66,12 @@ class RecordLog {
 
   // fdatasync the log. Fires the "<prefix>after_sync" crash point (see
   // SetCrashPoints) once the data is durable.
-  Status Sync();
+  Status Sync() { return CaptureSync()(); }
+
+  // A barrier that Sync()s everything appended so far when run, possibly
+  // after this log has moved on, been reset or been closed. Capturing a
+  // closed log yields a barrier that fails with kInternal.
+  std::function<Status()> CaptureSync() const;
 
   // Truncates the log to empty (after a successful checkpoint).
   Status Reset();
@@ -93,8 +105,17 @@ class RecordLog {
       const std::function<bool(uint8_t kind)>& valid_kind = nullptr);
 
  private:
+  // The open file; barriers share it, and the fd closes with the last owner.
+  struct File {
+    File(int open_fd, std::string file_path)
+        : fd(open_fd), path(std::move(file_path)) {}
+    ~File();
+    const int fd;
+    const std::string path;
+  };
+
   std::string path_;
-  int fd_ = -1;
+  std::shared_ptr<const File> file_;
   uint64_t bytes_written_ = 0;
   sim::FaultInjector* fault_injector_ = nullptr;  // Not owned.
   std::string crash_prefix_;

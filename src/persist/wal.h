@@ -63,6 +63,10 @@ class WriteAheadLog {
   // fdatasync the log.
   Status Sync();
 
+  // The same barrier in two steps (RecordLog::CaptureSync): capture under
+  // the lock that orders appends, run without it.
+  std::function<Status()> CaptureSync() const { return log_.CaptureSync(); }
+
   // Truncates the log to empty (after a successful checkpoint).
   Status Reset();
 

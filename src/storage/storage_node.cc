@@ -594,20 +594,30 @@ Status StorageNode::ApplySync(std::string_view table,
   return Status::Ok();
 }
 
-Status StorageNode::SyncBackends() {
-  return ForEachBackend(&TabletBackend::Sync);
-}
-
-Status StorageNode::CheckpointBackends() {
-  return ForEachBackend(&TabletBackend::Checkpoint);
-}
-
-Status StorageNode::ForEachBackend(Status (TabletBackend::*step)()) {
+TabletBackend::SyncBarrier StorageNode::CaptureBackendSync() {
+  std::vector<TabletBackend::SyncBarrier> barriers;
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [table, list] : tablets_) {
     for (Hosted& hosted : list) {
       if (hosted.backend != nullptr) {
-        PILEUS_RETURN_IF_ERROR((hosted.backend->*step)());
+        barriers.push_back(hosted.backend->CaptureSync());
+      }
+    }
+  }
+  return [barriers = std::move(barriers)] {
+    for (const TabletBackend::SyncBarrier& barrier : barriers) {
+      PILEUS_RETURN_IF_ERROR(barrier());
+    }
+    return Status::Ok();
+  };
+}
+
+Status StorageNode::CheckpointBackends() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [table, list] : tablets_) {
+    for (Hosted& hosted : list) {
+      if (hosted.backend != nullptr) {
+        PILEUS_RETURN_IF_ERROR(hosted.backend->Checkpoint());
       }
     }
   }

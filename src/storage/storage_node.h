@@ -9,7 +9,8 @@
 // Durability is per tablet: a tablet attached with a TabletBackend (e.g.
 // persist::DurableTablet) has every state change recorded by its backend
 // under that same mutex, so one dispatcher serves in-memory and durable
-// storage alike.
+// storage alike. Only the fsync of a group-commit barrier (SyncBackends)
+// runs outside it.
 
 #ifndef PILEUS_SRC_STORAGE_STORAGE_NODE_H_
 #define PILEUS_SRC_STORAGE_STORAGE_NODE_H_
@@ -139,8 +140,12 @@ class StorageNode {
   Status ApplySync(std::string_view table, const proto::SyncReply& reply);
 
   // Durability barrier over every attached backend (group commit); a no-op
-  // for in-memory tablets. Serialized against request handling.
-  Status SyncBackends();
+  // for in-memory tablets. Covers everything recorded before the call.
+  Status SyncBackends() { return CaptureBackendSync()(); }
+  // The same barrier in two steps: the capture takes each backend's barrier
+  // under the request lock; running the result fsyncs without it, so
+  // requests are served while the disk syncs.
+  TabletBackend::SyncBarrier CaptureBackendSync();
   // Checkpoints every attached backend (clean shutdown).
   Status CheckpointBackends();
 
@@ -208,9 +213,6 @@ class StorageNode {
   Status AttachLocked(std::string_view table, TabletBackend* backend,
                       std::unique_ptr<TabletBackend> owned);
   Hosted* FindHostedLocked(std::string_view table, std::string_view key);
-  // Runs `step` on every attached backend under the lock; stops at the
-  // first error.
-  Status ForEachBackend(Status (TabletBackend::*step)());
   static Timestamp MinHighTimestamp(const std::vector<Hosted>& hosted);
 
   proto::Message HandleLocked(const proto::Message& request);

@@ -12,6 +12,7 @@
 #ifndef PILEUS_SRC_STORAGE_TABLET_BACKEND_H_
 #define PILEUS_SRC_STORAGE_TABLET_BACKEND_H_
 
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
@@ -52,8 +53,14 @@ class TabletBackend {
   // Writes a snapshot so recovery no longer replays the journal so far.
   virtual Status Checkpoint() = 0;
 
-  // Durability barrier: everything recorded so far reaches stable storage.
-  virtual Status Sync() = 0;
+  // Durability barrier, split so the slow half runs without the node lock.
+  // CaptureSync() is called under the lock and records what must be
+  // covered; the returned barrier, run later and without the lock, makes
+  // everything recorded before the capture reach stable storage. A barrier
+  // must stay safe to run after the backend checkpoints, splits or is
+  // destroyed.
+  using SyncBarrier = std::function<Status()>;
+  virtual SyncBarrier CaptureSync() = 0;
 };
 
 }  // namespace pileus::storage

@@ -9,7 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <future>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "src/common/clock.h"
 #include "src/persist/durable_service.h"
 #include "src/persist/wal.h"
+#include "src/storage/storage_node.h"
 
 namespace pileus::persist {
 namespace {
@@ -33,6 +38,87 @@ uint64_t AwaitCounter(const std::function<uint64_t()>& value,
   }
   return value();
 }
+
+proto::PutRequest MakePut(const std::string& key, const std::string& value) {
+  proto::PutRequest put;
+  put.table = "t";
+  put.key = key;
+  put.value = value;
+  return put;
+}
+
+// An in-memory primary tablet whose sync barrier blocks until Open(), so a
+// test can hold a group-commit fsync in flight for as long as it likes.
+class GatedBackend : public storage::TabletBackend {
+ public:
+  explicit GatedBackend(Clock* clock)
+      : tablet_(PrimaryOptions(), clock) {}
+
+  storage::Tablet& tablet() override { return tablet_; }
+  Result<proto::PutReply> HandlePut(std::string_view key,
+                                    std::string_view value) override {
+    return tablet_.HandlePut(key, value);
+  }
+  Result<proto::PutReply> HandleDelete(std::string_view key) override {
+    return tablet_.HandleDelete(key);
+  }
+  Result<proto::CommitReply> HandleCommit(
+      const proto::CommitRequest& request) override {
+    return tablet_.HandleCommit(request);
+  }
+  Status ApplySync(const proto::SyncReply& reply) override {
+    tablet_.ApplySync(reply);
+    return Status::Ok();
+  }
+  Result<std::unique_ptr<storage::TabletBackend>> Split(
+      std::string_view) override {
+    return Status(StatusCode::kInvalidArgument, "gated tablets do not split");
+  }
+  Result<std::vector<std::unique_ptr<storage::TabletBackend>>>
+  OpenSplitChildren() override {
+    return std::vector<std::unique_ptr<storage::TabletBackend>>{};
+  }
+  Status Checkpoint() override { return Status::Ok(); }
+
+  SyncBarrier CaptureSync() override {
+    return [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++barriers_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return open_; });
+      return Status::Ok();
+    };
+  }
+
+  // Blocks until `n` barriers have started running.
+  void AwaitBarriers(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, n] { return barriers_ >= n; });
+  }
+  // Lets every barrier, running or future, complete.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  int barriers() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return barriers_;
+  }
+
+ private:
+  static storage::Tablet::Options PrimaryOptions() {
+    storage::Tablet::Options options;
+    options.is_primary = true;
+    return options;
+  }
+
+  storage::Tablet tablet_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int barriers_ = 0;
+  bool open_ = false;
+};
 
 class DurableServiceTest : public ::testing::Test {
  protected:
@@ -103,10 +189,6 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
     auto tablet = OpenTablet();
     GroupCommitConfig config;
     config.enabled = true;
-    // Huge batch + huge delay: the committer syncs only when we say so,
-    // which pins exactly where the durability frontier sits.
-    config.max_batch = 1000;
-    config.max_delay_us = SecondsToMicroseconds(10);
     DurableStorageService service("t", tablet.get(), config);
 
     // Phase 1: writes the clients were told are durable.
@@ -128,25 +210,27 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
     ASSERT_EQ(acked.load(), kAcked);
     acked_bytes = tablet->wal().bytes_written();
 
-    // Phase 2: appended to the WAL (reached the kernel) but never covered
-    // by a sync — the clients never hear back before the "crash".
-    std::atomic<int> late_acks{0};
+    // Phase 2: appended to the WAL (reached the kernel) through the tablet
+    // but never registered for an ack, so no sync covers them — the clients
+    // never hear back before the "crash".
+    GroupCommitter* committer = service.group_committer();
+    const uint64_t syncs_after_acked = AwaitCounter(
+        [committer] { return committer->syncs(); }, 1);
     for (int i = 0; i < kUnacked; ++i) {
       clock_.AdvanceMicros(1);
-      proto::PutRequest put;
-      put.table = "t";
-      put.key = "u" + std::to_string(i);
-      put.value = "uv" + std::to_string(i);
-      service.HandleAsync(put, [&late_acks](proto::Message) { ++late_acks; });
+      ASSERT_TRUE(tablet
+                      ->HandlePut("u" + std::to_string(i),
+                                  "uv" + std::to_string(i))
+                      .ok());
     }
     final_bytes = tablet->wal().bytes_written();
     ASSERT_GT(final_bytes, acked_bytes);
-    EXPECT_EQ(late_acks.load(), 0);
-    // 24 put acks + SyncNow's barrier ack; nothing from phase 2.
-    GroupCommitter* committer = service.group_committer();
+    // 24 put acks + SyncNow's barrier ack; nothing from phase 2, and no
+    // sync since the frontier was pinned.
     EXPECT_EQ(AwaitCounter([committer] { return committer->acked(); },
                            kAcked + 1),
               static_cast<uint64_t>(kAcked) + 1);
+    EXPECT_EQ(committer->syncs(), syncs_after_acked);
     // Reads see pending writes immediately: the in-memory tablet is ahead
     // of the durability frontier by design.
     proto::GetRequest get;
@@ -207,49 +291,64 @@ TEST_F(DurableServiceTest, GroupCommitCrashLosesOnlyUnackedWrites) {
 }
 
 TEST_F(DurableServiceTest, GroupCommitAmortizesSyncsAcrossAckedWrites) {
+  // A gated backend beside the durable tablet holds the first sync in
+  // flight while 48 writers append and queue their acks. The next sync must
+  // cover them all: two syncs for 49 acked writes.
   auto tablet = OpenTablet();
+  storage::StorageNode node("n", "local", &clock_);
+  ASSERT_TRUE(node.AttachTablet("t", tablet.get()).ok());
+  GatedBackend gate(&clock_);
+  ASSERT_TRUE(node.AttachTablet("gate", &gate).ok());
   GroupCommitConfig config;
   config.enabled = true;
-  config.max_batch = 16;
-  config.max_delay_us = SecondsToMicroseconds(10);  // Batch-size-driven only.
-  DurableStorageService service("t", tablet.get(), config);
+  DurableStorageService service(&node, config);
+
+  std::atomic<int> acked{0};
+  const auto count_put = [&acked](proto::Message reply) {
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply));
+    ++acked;
+  };
+  service.HandleAsync(MakePut("k0", "v0"), count_put);
+  gate.AwaitBarriers(1);
 
   constexpr int kWrites = 48;
-  std::atomic<int> acked{0};
-  for (int i = 0; i < kWrites; ++i) {
-    clock_.AdvanceMicros(1);
-    proto::PutRequest put;
-    put.table = "t";
-    put.key = "k" + std::to_string(i);
-    put.value = "v" + std::to_string(i);
-    service.HandleAsync(put, [&acked](proto::Message reply) {
-      EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply));
-      ++acked;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 1 + w; i <= kWrites; i += 4) {
+        service.HandleAsync(MakePut("k" + std::to_string(i),
+                                    "v" + std::to_string(i)),
+                            count_put);
+      }
     });
   }
-  ASSERT_TRUE(service.SyncNow().ok());
-  ASSERT_EQ(acked.load(), kWrites);
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_EQ(acked.load(), 0);  // Nothing is acked while its sync is held.
+  gate.Open();
+  ASSERT_EQ(AwaitCounter([&acked] { return acked.load(); }, kWrites + 1),
+            static_cast<uint64_t>(kWrites) + 1);
 
   GroupCommitter* committer = service.group_committer();
   ASSERT_NE(committer, nullptr);
-  // 48 put acks + SyncNow's barrier ack.
   EXPECT_EQ(AwaitCounter([committer] { return committer->acked(); },
                          kWrites + 1),
             static_cast<uint64_t>(kWrites) + 1);
-  // With max_batch=16 the committer needs at most ceil(48/16) batch syncs
-  // plus the forced barrier; it may batch even wider if it wakes late. The
-  // point of the feature: syncs are a small fraction of acked writes.
-  EXPECT_GE(committer->syncs(), 1u);
-  EXPECT_LE(committer->syncs(), 5u);
+  // The held sync, then one sync for all 48 queued writes.
+  EXPECT_EQ(committer->syncs(), 2u);
+  EXPECT_EQ(gate.barriers(), 2);
 
-  // WAL replay cross-check: every acked write journaled, in issue order.
+  // WAL replay cross-check: every acked write journaled exactly once.
   auto journal = WriteAheadLog::ReadVersions(dir_ + "/wal.log");
   ASSERT_TRUE(journal.ok()) << journal.status();
-  ASSERT_EQ(journal.value().size(), static_cast<size_t>(kWrites));
-  for (int i = 0; i < kWrites; ++i) {
-    EXPECT_EQ(journal.value()[i].key, "k" + std::to_string(i));
-    EXPECT_EQ(journal.value()[i].value, "v" + std::to_string(i));
+  ASSERT_EQ(journal.value().size(), static_cast<size_t>(kWrites) + 1);
+  std::set<std::string> keys;
+  for (const proto::ObjectVersion& version : journal.value()) {
+    EXPECT_EQ(version.value, "v" + version.key.substr(1));
+    keys.insert(version.key);
   }
+  EXPECT_EQ(keys.size(), static_cast<size_t>(kWrites) + 1);
 }
 
 TEST_F(DurableServiceTest, SyncHandleBlocksUntilDurableUnderGroupCommit) {
@@ -261,8 +360,6 @@ TEST_F(DurableServiceTest, SyncHandleBlocksUntilDurableUnderGroupCommit) {
     auto tablet = OpenTablet();
     GroupCommitConfig config;
     config.enabled = true;
-    config.max_batch = 4;
-    config.max_delay_us = 500;
     DurableStorageService service("t", tablet.get(), config);
     for (int i = 0; i < 6; ++i) {
       clock_.AdvanceMicros(1);
@@ -283,6 +380,139 @@ TEST_F(DurableServiceTest, SyncHandleBlocksUntilDurableUnderGroupCommit) {
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(reopened->HandleGet("k" + std::to_string(i)).found);
   }
+}
+
+// --- The fsync runs outside the node lock ---
+//
+// StorageNode::SyncBackends captures each backend's barrier under the node
+// lock and runs it after releasing the lock. So requests are served while a
+// group-commit fsync is in flight, and a barrier stays valid whatever the
+// node does to its tablet meanwhile.
+
+TEST_F(DurableServiceTest, GroupCommitSyncInFlightDoesNotBlockRequests) {
+  storage::StorageNode node("n", "local", &clock_);
+  GatedBackend gate(&clock_);
+  ASSERT_TRUE(node.AttachTablet("t", &gate).ok());
+  GroupCommitConfig config;
+  config.enabled = true;
+  DurableStorageService service(&node, config);
+
+  // The first Put's sync blocks inside its barrier.
+  std::atomic<bool> first_acked{false};
+  service.HandleAsync(MakePut("a", "1"), [&first_acked](proto::Message reply) {
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(reply));
+    first_acked = true;
+  });
+  gate.AwaitBarriers(1);
+
+  // With that fsync in flight, a Get and a Put on the same node complete.
+  // Had the sync kept the node lock, all three would wait for the gate. A
+  // Put through the service also applies at once, but its ack must wait for
+  // a sync that starts after it was registered.
+  std::atomic<bool> second_acked{false};
+  auto requests = std::async(std::launch::async, [&] {
+    proto::GetRequest get;
+    get.table = "t";
+    get.key = "a";
+    const proto::Message got = node.Handle(get);
+    const proto::Message put = node.Handle(MakePut("b", "2"));
+    service.HandleAsync(MakePut("c", "3"), [&second_acked](proto::Message) {
+      second_acked = true;
+    });
+    return std::holds_alternative<proto::GetReply>(got) &&
+           std::get<proto::GetReply>(got).found &&
+           std::holds_alternative<proto::PutReply>(put);
+  });
+  const bool served =
+      requests.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  const bool acked_early = first_acked.load() || second_acked.load();
+  gate.Open();  // Release the barrier whatever happened, so nothing hangs.
+  ASSERT_TRUE(served) << "a request waited for the in-flight fsync";
+  EXPECT_TRUE(requests.get());
+  EXPECT_FALSE(acked_early);
+
+  // SyncNow's waiter queues behind both acks, so both have run when it
+  // returns.
+  ASSERT_TRUE(service.SyncNow().ok());
+  EXPECT_TRUE(first_acked.load());
+  EXPECT_TRUE(second_acked.load());
+}
+
+TEST_F(DurableServiceTest, GroupCommitBarrierOutlivesCheckpointSplitAndRemove) {
+  // A real barrier (the WAL's fdatasync) captured before the node
+  // checkpoints, splits and drops tablets must still sync its files, not a
+  // closed or reused fd, and report OK.
+  auto tablet = OpenTablet();
+  storage::StorageNode node("n", "local", &clock_);
+  ASSERT_TRUE(node.AttachTablet("t", tablet.get()).ok());
+  for (const char* key : {"b", "h", "p", "w"}) {
+    clock_.AdvanceMicros(1);
+    ASSERT_TRUE(std::holds_alternative<proto::PutReply>(
+        node.Handle(MakePut(key, "v"))));
+  }
+  ASSERT_TRUE(node.SplitTablet("t", "m").ok());  // The node owns [m, end).
+  clock_.AdvanceMicros(1);
+  ASSERT_TRUE(std::holds_alternative<proto::PutReply>(
+      node.Handle(MakePut("x", "v"))));
+
+  const storage::TabletBackend::SyncBarrier in_flight =
+      node.CaptureBackendSync();
+  ASSERT_TRUE(node.SplitTablet("t", "f").ok());  // A new child WAL.
+  ASSERT_TRUE(node.CheckpointBackends().ok());   // Truncates every WAL.
+  // Destroys the first child and its WAL last, so no file opened since
+  // could have taken over its fd number: a barrier holding a bare fd would
+  // now fail with EBADF.
+  const KeyRange upper = node.FindTablet("t", "x")->range();
+  ASSERT_TRUE(node.RemoveTablet("t", upper).ok());
+  EXPECT_TRUE(in_flight().ok());
+  EXPECT_TRUE(node.SyncBackends().ok());
+  proto::GetRequest get;
+  get.table = "t";
+  get.key = "b";
+  EXPECT_TRUE(std::get<proto::GetReply>(node.Handle(get)).found);
+}
+
+TEST_F(DurableServiceTest, GroupCommitSyncsRaceCheckpointSplitAndRemove) {
+  // The same, racing: the committer syncs continuously while the node
+  // writes, checkpoints, splits and drops tablets. Every sync must succeed,
+  // and the sanitizer builds must report nothing.
+  auto tablet = OpenTablet();
+  storage::StorageNode node("n", "local", &clock_);
+  ASSERT_TRUE(node.AttachTablet("t", tablet.get()).ok());
+  GroupCommitConfig config;
+  config.enabled = true;
+  DurableStorageService service(&node, config);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failed_syncs{0};
+  std::thread syncer([&] {
+    while (!done.load()) {
+      if (!service.SyncNow().ok()) {
+        ++failed_syncs;
+      }
+    }
+  });
+  // Each round splits the root's upper end off, writes on both sides,
+  // checkpoints and drops the split-off tablet again.
+  for (int round = 0; round < 8; ++round) {
+    const std::string split_key = "s" + std::to_string(9 - round);
+    for (int i = 0; i < 4; ++i) {
+      clock_.AdvanceMicros(1);
+      EXPECT_TRUE(std::holds_alternative<proto::PutReply>(service.Handle(
+          MakePut("a" + std::to_string(round * 4 + i), "v"))));
+    }
+    ASSERT_TRUE(node.SplitTablet("t", split_key).ok());
+    clock_.AdvanceMicros(1);
+    EXPECT_TRUE(std::holds_alternative<proto::PutReply>(
+        service.Handle(MakePut(split_key + "x", "v"))));
+    ASSERT_TRUE(node.CheckpointBackends().ok());
+    const KeyRange upper = node.FindTablet("t", split_key)->range();
+    ASSERT_TRUE(node.RemoveTablet("t", upper).ok());
+  }
+  done = true;
+  syncer.join();
+  EXPECT_EQ(failed_syncs.load(), 0);
+  EXPECT_TRUE(service.SyncNow().ok());
 }
 
 }  // namespace

@@ -45,8 +45,7 @@ class ServerProcess {
       ::close(out[1]);
       ::execl(PILEUS_SERVER_PATH, PILEUS_SERVER_PATH, "--port", "0",
               "--role", "primary", "--table", kTable, "--data_dir",
-              data_dir.c_str(), "--group_commit", "--group_commit_delay_us",
-              "200", static_cast<char*>(nullptr));
+              data_dir.c_str(), "--group_commit", static_cast<char*>(nullptr));
       ::_exit(127);
     }
     ::close(out[1]);

@@ -9,7 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
+#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -19,6 +19,8 @@
 #include "src/persist/durable_tablet.h"
 #include "src/persist/group_commit.h"
 #include "src/persist/wal.h"
+#include "src/telemetry/export.h"
+#include "src/telemetry/metrics.h"
 #include "src/util/crc32.h"
 
 namespace pileus::persist {
@@ -512,62 +514,103 @@ TEST_F(PersistTest, CorruptCheckpointIsRejected) {
 // --- GroupCommitter unit tests ---
 //
 // The committer's contract (group_commit.h): an ack registered after its
-// append runs only once a covering sync has completed, many acks share one
-// sync, and a failed sync reports failure to every waiting ack instead of
-// acking success for data that never reached disk.
+// append runs only once a sync that started after the registration has
+// completed, acks that queue during one sync share the next, and a failed
+// sync reports failure to every waiting ack instead of acking success for
+// data that never reached disk.
+
+// A SyncFn that holds every sync open until Release(), so acks registered
+// meanwhile deterministically queue up behind the one in flight.
+class SyncGate {
+ public:
+  Status Sync() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++calls_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    return Status::Ok();
+  }
+
+  // Blocks until `n` syncs have started.
+  void AwaitCalls(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, n] { return calls_ >= n; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  int calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  int calls_ = 0;
+  bool released_ = false;
+};
 
 TEST(GroupCommitTest, ManyAcksShareFewSyncs) {
-  // A deliberately slow SyncFn makes registrations pile up behind the
-  // in-progress barrier, so the next sync covers the whole backlog. 32 acks
-  // must not cost anywhere near 32 syncs.
-  std::atomic<int> sync_calls{0};
-  GroupCommitter::Options options;
-  options.max_batch = 64;
-  options.max_delay_us = 50'000;
-  GroupCommitter committer(
-      [&sync_calls] {
-        ++sync_calls;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        return Status::Ok();
-      },
-      options);
+  // The first ack starts a sync at once; the gate holds it in flight while
+  // 32 writers register. They must all ride the next sync together, and
+  // none may be released by the sync that was already running.
+  SyncGate gate;
+  GroupCommitter committer([&gate] { return gate.Sync(); });
   ASSERT_TRUE(committer.Start().ok());
 
-  constexpr int kAcks = 32;
-  std::atomic<int> acked_ok{0};
+  std::atomic<int> first_acked{0};
+  committer.AckAfterSync([&first_acked](const Status& status) {
+    EXPECT_TRUE(status.ok());
+    ++first_acked;
+  });
+  gate.AwaitCalls(1);
+
+  constexpr int kWriters = 32;
+  std::mutex mu;
+  std::vector<int> sync_seen;  // Syncs started when each writer was acked.
   std::atomic<int> acked_failed{0};
-  for (int i = 0; i < kAcks; ++i) {
-    committer.AckAfterSync([&](const Status& status) {
-      if (status.ok()) {
-        ++acked_ok;
-      } else {
-        ++acked_failed;
-      }
+  std::vector<std::thread> writers;
+  for (int i = 0; i < kWriters; ++i) {
+    writers.emplace_back([&] {
+      committer.AckAfterSync([&](const Status& status) {
+        if (!status.ok()) {
+          ++acked_failed;
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        sync_seen.push_back(gate.calls());
+      });
     });
   }
-  ASSERT_TRUE(committer.SyncNow().ok());
-  committer.Stop();
+  for (std::thread& writer : writers) {
+    writer.join();
+  }
+  EXPECT_EQ(first_acked.load(), 0);  // Its sync is still held.
+  gate.Release();
+  committer.Stop();  // Drains: every queued ack is released first.
 
-  EXPECT_EQ(acked_ok.load(), kAcks);
+  EXPECT_EQ(first_acked.load(), 1);
   EXPECT_EQ(acked_failed.load(), 0);
-  // 32 registered acks + SyncNow's own barrier ack.
-  EXPECT_EQ(committer.acked(), static_cast<uint64_t>(kAcks) + 1);
-  EXPECT_GE(committer.syncs(), 1u);
-  // Registering 32 acks takes microseconds; each sync takes 10ms. Even with
-  // maximal scheduler malice the backlog drains in a handful of batches.
-  EXPECT_LE(committer.syncs(), 6u);
-  EXPECT_LT(committer.syncs(), committer.acked());
+  ASSERT_EQ(sync_seen.size(), static_cast<size_t>(kWriters));
+  for (const int seen : sync_seen) {
+    EXPECT_EQ(seen, 2) << "an ack was released by a sync that began before "
+                          "it was registered";
+  }
+  // The held sync, then one sync for all 32 writers.
+  EXPECT_EQ(committer.syncs(), 2u);
+  EXPECT_EQ(committer.acked(), static_cast<uint64_t>(kWriters) + 1);
 }
 
 TEST(GroupCommitTest, SyncFailureIsReportedToEveryWaitingAck) {
   // If fdatasync fails, acking success would tell clients their writes are
   // durable when they are not. Every ack in the failed batch must see the
   // error.
-  GroupCommitter::Options options;
-  options.max_batch = 1000;
-  options.max_delay_us = SecondsToMicroseconds(10);
   GroupCommitter committer(
-      [] { return Status(StatusCode::kUnavailable, "disk gone"); }, options);
+      [] { return Status(StatusCode::kUnavailable, "disk gone"); });
   ASSERT_TRUE(committer.Start().ok());
 
   std::mutex mu;
@@ -591,30 +634,28 @@ TEST(GroupCommitTest, SyncFailureIsReportedToEveryWaitingAck) {
 TEST(GroupCommitTest, StopReleasesPendingAcksAfterAFinalSync) {
   // Acks registered just before shutdown must not be dropped: Stop() runs
   // one last covering sync and releases them, so a daemon draining its
-  // request queue never strands a client reply.
-  std::atomic<int> sync_calls{0};
-  GroupCommitter::Options options;
-  options.max_batch = 1000;
-  options.max_delay_us = SecondsToMicroseconds(10);  // Never fires on its own.
-  GroupCommitter committer(
-      [&sync_calls] {
-        ++sync_calls;
-        return Status::Ok();
-      },
-      options);
+  // request queue never strands a client reply. The gate keeps seven acks
+  // queued behind an in-flight sync while Stop() is called.
+  SyncGate gate;
+  GroupCommitter committer([&gate] { return gate.Sync(); });
   ASSERT_TRUE(committer.Start().ok());
 
   std::atomic<int> released{0};
+  const auto count = [&released](const Status& status) {
+    EXPECT_TRUE(status.ok());
+    ++released;
+  };
+  committer.AckAfterSync(count);
+  gate.AwaitCalls(1);
   for (int i = 0; i < 7; ++i) {
-    committer.AckAfterSync([&](const Status& status) {
-      EXPECT_TRUE(status.ok());
-      ++released;
-    });
+    committer.AckAfterSync(count);
   }
-  committer.Stop();
-  EXPECT_EQ(released.load(), 7);
-  EXPECT_GE(sync_calls.load(), 1);
-  EXPECT_EQ(committer.acked(), 7u);
+  std::thread stopper([&committer] { committer.Stop(); });
+  gate.Release();
+  stopper.join();
+  EXPECT_EQ(released.load(), 8);
+  EXPECT_EQ(gate.calls(), 2);
+  EXPECT_EQ(committer.acked(), 8u);
 }
 
 TEST(GroupCommitTest, AckWithoutRunningCommitterSyncsInline) {
@@ -622,12 +663,10 @@ TEST(GroupCommitTest, AckWithoutRunningCommitterSyncsInline) {
   // to, so AckAfterSync degrades to sync-then-ack inline rather than parking
   // the ack forever.
   std::atomic<int> sync_calls{0};
-  GroupCommitter committer(
-      [&sync_calls] {
-        ++sync_calls;
-        return Status::Ok();
-      },
-      GroupCommitter::Options{});
+  GroupCommitter committer([&sync_calls] {
+    ++sync_calls;
+    return Status::Ok();
+  });
 
   bool acked = false;
   committer.AckAfterSync([&acked](const Status& status) {
@@ -636,6 +675,38 @@ TEST(GroupCommitTest, AckWithoutRunningCommitterSyncsInline) {
   });
   EXPECT_TRUE(acked);
   EXPECT_EQ(sync_calls.load(), 1);
+}
+
+TEST(GroupCommitTest, EachSyncRecordsBatchSizeAndSyncTime) {
+  // Operators read batch shapes and fsync cost from the default registry
+  // (Prometheus, `pileus_cli stats`): one sample of each per sync.
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Default();
+  telemetry::HistogramMetric* batch_acks =
+      registry.GetHistogram("pileus_persist_group_commit_batch_acks");
+  telemetry::HistogramMetric* sync_us =
+      registry.GetHistogram("pileus_persist_wal_sync_us");
+  const uint64_t batches_before = batch_acks->Merged().count();
+  const uint64_t syncs_before = sync_us->Merged().count();
+
+  SyncGate gate;
+  GroupCommitter committer([&gate] { return gate.Sync(); });
+  ASSERT_TRUE(committer.Start().ok());
+  committer.AckAfterSync([](const Status&) {});
+  gate.AwaitCalls(1);
+  for (int i = 0; i < 5; ++i) {
+    committer.AckAfterSync([](const Status&) {});
+  }
+  gate.Release();
+  committer.Stop();
+
+  ASSERT_EQ(committer.syncs(), 2u);
+  const Histogram batches = batch_acks->Merged();
+  EXPECT_EQ(batches.count(), batches_before + 2);
+  EXPECT_GE(batches.max(), 5);  // The five acks queued behind the gate.
+  EXPECT_EQ(sync_us->Merged().count(), syncs_before + 2);
+  EXPECT_NE(telemetry::ExportPrometheus(registry).find(
+                "pileus_persist_wal_sync_us"),
+            std::string::npos);
 }
 
 }  // namespace

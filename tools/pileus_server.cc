@@ -78,10 +78,6 @@ int main(int argc, char** argv) {
                    "batch WAL fsyncs: mutation acks wait for a shared "
                    "fdatasync (durable nodes; implies crash safety for every "
                    "acked write at a fraction of the fsync count)");
-  flags.DefineInt("group_commit_batch", 64,
-                  "max acks per group-commit fsync (with --group_commit)");
-  flags.DefineInt("group_commit_delay_us", 2000,
-                  "max time a mutation ack waits for its batch fsync");
   flags.DefineInt("loop_threads", 2, "transport event-loop threads");
   flags.DefineInt("pull_batch", 0,
                   "max versions per replication pull reply (0 = unlimited); "
@@ -152,15 +148,6 @@ int main(int argc, char** argv) {
       std::printf("hosting %zu tablets (recovered split children)\n", hosted);
     }
     group_commit.enabled = flags.GetBool("group_commit");
-    group_commit.max_batch =
-        static_cast<size_t>(flags.GetInt("group_commit_batch"));
-    group_commit.max_delay_us = flags.GetInt("group_commit_delay_us");
-    if (group_commit.enabled) {
-      std::printf("group commit: batch %lld, delay %lld us\n",
-                  static_cast<long long>(flags.GetInt("group_commit_batch")),
-                  static_cast<long long>(
-                      flags.GetInt("group_commit_delay_us")));
-    }
   } else {
     storage::Tablet::Options options;
     options.is_primary = is_primary;
