@@ -1,6 +1,7 @@
 // Microbenchmarks of the client library's hot paths: target selection
 // (Figure 8), minimum-acceptable-read-timestamp computation, monitor updates
-// and estimates, the wire codec and a synchronous TCP round trip. These run
+// and estimates, the wire codec and its checksum, and a synchronous TCP
+// round trip. These run
 // on every Get, so their cost bounds the client-side overhead Pileus adds
 // over a plain key-value client. The group-commit benches time the
 // primary's durable Put path, which every Put and read-my-writes Get waits
@@ -24,6 +25,7 @@
 #include "src/persist/durable_service.h"
 #include "src/persist/durable_tablet.h"
 #include "src/proto/messages.h"
+#include "src/util/crc32.h"
 
 namespace {
 
@@ -76,6 +78,37 @@ void BM_SelectTarget(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelectTarget)->Arg(3)->Arg(8)->Arg(16);
+
+// The selection of a cache-served Get, as perfbench's cached_read workload
+// runs it: the shopping-cart SLA over a primary and one secondary with full
+// windows, a session that wrote the key, and a cached copy fresh enough for
+// read-my-writes.
+void BM_SelectTargetCached(benchmark::State& state) {
+  ManualClock clock(SecondsToMicroseconds(1000));
+  Monitor monitor(&clock);
+  const std::vector<ReplicaView> replicas = {{"primary", true},
+                                             {"secondary", false}};
+  for (int s = 0; s < kFullWindow; ++s) {
+    monitor.RecordLatency("primary", 150 + s % 40);
+    monitor.RecordLatency("secondary", 120 + s % 30);
+  }
+  monitor.RecordHighTimestamp("primary",
+                              Timestamp{SecondsToMicroseconds(999), 0});
+  monitor.RecordHighTimestamp("secondary",
+                              Timestamp{SecondsToMicroseconds(998), 0});
+  const Sla sla = ShoppingCartSla();
+  Session session(sla);
+  session.RecordPut("key-1", Timestamp{SecondsToMicroseconds(990), 0});
+  const CacheView cached{Timestamp{SecondsToMicroseconds(995), 0}, 0};
+  SelectionOptions options;
+  Random rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SelectTarget(sla, replicas, &cached, session,
+                                          "key-1", clock.NowMicros(), monitor,
+                                          options, &rng));
+  }
+}
+BENCHMARK(BM_SelectTargetCached);
 
 void BM_MinReadTimestamp(benchmark::State& state) {
   SelectionFixture fixture(3);
@@ -188,6 +221,21 @@ void BM_EncodeWireFrame(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeWireFrame);
+
+// The frame and WAL checksum: ~140 B is a Get reply frame, 1 and 4 KiB are
+// larger values and sync batches.
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  Random rng(3);
+  for (char& ch : data) {
+    ch = static_cast<char>(rng.NextUint64(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(140)->Arg(1024)->Arg(4096);
 
 // The transport stage of a Get: a synchronous Call over loopback to a
 // one-loop echo TcpServer answering with a 100-byte value. Wall time per

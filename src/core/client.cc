@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <type_traits>
 
 #include "src/common/logging.h"
 
@@ -322,16 +323,6 @@ int PileusClient::PickFixedStrategyNode() {
   return current_primary_index_;
 }
 
-void PileusClient::NoteReplyConfig(const proto::Message& message) {
-  std::visit(
-      [this](const auto& m) {
-        if constexpr (requires { m.config_epoch; m.primary_hint; }) {
-          monitor_->RecordConfig(m.config_epoch, m.primary_hint);
-        }
-      },
-      message);
-}
-
 int PileusClient::FindReplicaIndex(std::string_view name) const {
   for (size_t i = 0; i < table_.replicas.size(); ++i) {
     if (table_.replicas[i].name == name) {
@@ -364,55 +355,59 @@ void PileusClient::MaybeAdoptConfig() {
 
 int PileusClient::AbsorbReplyEvidence(int node_index, const TimedReply& timed,
                                       bool record_latency) {
-  const std::string& name = table_.replicas[node_index].name;
+  using Outcome = Monitor::ReplyEvidence::Outcome;
+  Monitor::ReplyEvidence evidence;
   // Latency evidence is useful even for timeouts (the sample equals the
   // deadline, pushing PNodeLat down for thresholds below it).
   if (record_latency) {
-    monitor_->RecordLatency(name, timed.rtt_us);
+    evidence.rtt_us = timed.rtt_us;
   }
+  int retry_after_ms = -1;
   if (!timed.reply.ok()) {
     // Transport-level failure (unreachable, reset, deadline with no answer).
-    monitor_->RecordFailure(name);
-    return -1;
+    evidence.outcome = Outcome::kFailure;
+  } else {
+    std::visit(
+        [&evidence, &retry_after_ms](const auto& m) {
+          using M = std::decay_t<decltype(m)>;
+          if constexpr (requires { m.config_epoch; m.primary_hint; }) {
+            evidence.config_epoch = m.config_epoch;
+            evidence.config_primary = m.primary_hint;
+          }
+          if constexpr (std::is_same_v<M, proto::ErrorReply>) {
+            if (m.code == StatusCode::kOverloaded) {
+              // The node is up but shedding: start its backoff window so
+              // selection discounts it, without denting PNodeUp (it did
+              // answer).
+              evidence.outcome = Outcome::kOverload;
+              evidence.retry_after_us =
+                  static_cast<MicrosecondCount>(m.retry_after_ms) *
+                  kMicrosecondsPerMillisecond;
+              retry_after_ms = static_cast<int>(m.retry_after_ms);
+            } else if (m.code == StatusCode::kUnavailable) {
+              // The node answered, so it is up - unless it reported itself
+              // unavailable.
+              evidence.outcome = Outcome::kFailure;
+            }
+          } else if constexpr (std::is_same_v<M, proto::GetReply> ||
+                               std::is_same_v<M, proto::PutReply> ||
+                               std::is_same_v<M, proto::ProbeReply> ||
+                               std::is_same_v<M, proto::RangeReply>) {
+            evidence.has_progress = true;
+            evidence.high_timestamp = m.high_timestamp;
+            evidence.queue_delay_us = m.queue_delay_us;
+          }
+        },
+        timed.reply.value());
   }
-  const proto::Message& message = timed.reply.value();
-  NoteReplyConfig(message);
-  if (const auto* err = std::get_if<proto::ErrorReply>(&message)) {
-    if (err->code == StatusCode::kOverloaded) {
-      // The node is up but shedding: start its backoff window so selection
-      // discounts it, without denting PNodeUp (it did answer).
-      monitor_->RecordOverload(
-          name, static_cast<MicrosecondCount>(err->retry_after_ms) *
-                    kMicrosecondsPerMillisecond);
-      overload_rejections_.fetch_add(1, std::memory_order_relaxed);
-      if (instruments_.overload_rejections != nullptr) {
-        instruments_.overload_rejections->Increment();
-      }
-      return static_cast<int>(err->retry_after_ms);
+  monitor_->RecordReply(table_.replicas[node_index].name, evidence);
+  if (evidence.outcome == Outcome::kOverload) {
+    overload_rejections_.fetch_add(1, std::memory_order_relaxed);
+    if (instruments_.overload_rejections != nullptr) {
+      instruments_.overload_rejections->Increment();
     }
-    // The node answered, so it is up - unless it reported itself unavailable.
-    if (err->code == StatusCode::kUnavailable) {
-      monitor_->RecordFailure(name);
-    } else {
-      monitor_->RecordSuccess(name);
-    }
-    return -1;
   }
-  monitor_->RecordSuccess(name);
-  if (const auto* get = std::get_if<proto::GetReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, get->high_timestamp);
-    monitor_->RecordQueueDelay(name, get->queue_delay_us);
-  } else if (const auto* put = std::get_if<proto::PutReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, put->high_timestamp);
-    monitor_->RecordQueueDelay(name, put->queue_delay_us);
-  } else if (const auto* probe = std::get_if<proto::ProbeReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, probe->high_timestamp);
-    monitor_->RecordQueueDelay(name, probe->queue_delay_us);
-  } else if (const auto* range = std::get_if<proto::RangeReply>(&message)) {
-    monitor_->RecordHighTimestamp(name, range->high_timestamp);
-    monitor_->RecordQueueDelay(name, range->queue_delay_us);
-  }
-  return -1;
+  return retry_after_ms;
 }
 
 MicrosecondCount PileusClient::JitteredBackoff(MicrosecondCount nominal_us,

@@ -304,9 +304,10 @@ class PileusClient {
   // Node choice for the fixed strategies.
   int PickFixedStrategyNode();
 
-  // Records latency/high-timestamp evidence from one reply into the monitor,
-  // including overload rejections (backoff window + retry_after hint) and
-  // piggybacked queue delays. Returns the reply's kOverloaded retry_after_ms
+  // Records latency/high-timestamp evidence from one reply into the monitor
+  // in one Monitor::RecordReply, including overload rejections (backoff
+  // window + retry_after hint) and the piggybacked config epoch and queue
+  // delay. Returns the reply's kOverloaded retry_after_ms
   // hint, or -1 when the reply was not an overload rejection.
   int AbsorbReplyEvidence(int node_index, const TimedReply& timed,
                           bool record_latency = true);
@@ -317,8 +318,6 @@ class PileusClient {
   MicrosecondCount JitteredBackoff(MicrosecondCount nominal_us,
                                    int retry_after_ms);
 
-  // Feeds a reply's config piggyback (epoch + primary hint) to the monitor.
-  void NoteReplyConfig(const proto::Message& message);
   // Re-resolves the primary from the monitor's config view when a newer
   // epoch has been learned: writes and strong reads move to the new primary,
   // and the replica authoritative flags collapse to primary-only (the

@@ -1,6 +1,7 @@
 #include "src/core/monitor.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace pileus::core {
 
@@ -19,41 +20,49 @@ const Monitor::NodeState* Monitor::FindState(std::string_view node) const {
   return it == nodes_.end() ? nullptr : &it->second;
 }
 
-void Monitor::RecordLatency(std::string_view node, MicrosecondCount rtt_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  state.latencies.Record(now, rtt_us);
-  state.last_contact_us = now;
+void Monitor::RecordLatencyLocked(NodeState& state, MicrosecondCount rtt_us,
+                                  MicrosecondCount now_us) {
+  state.latencies.Record(now_us, rtt_us);
+  state.last_contact_us = now_us;
   ++state.total_samples;
   ++samples_recorded_;
+  ++state_version_;
+}
+
+void Monitor::RecordLatency(std::string_view node, MicrosecondCount rtt_us) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordLatencyLocked(StateFor(node), rtt_us, clock_->NowMicros());
+}
+
+void Monitor::RecordHighTimestampLocked(NodeState& state,
+                                        const Timestamp& high,
+                                        MicrosecondCount now_us) {
+  // High timestamps only move forward; keep the max ever observed.
+  if (high > state.high_timestamp) {
+    state.high_timestamp = high;
+    state.high_observed_at_us = now_us;
+  }
+  state.last_contact_us = now_us;
   ++state_version_;
 }
 
 void Monitor::RecordHighTimestamp(std::string_view node,
                                   const Timestamp& high) {
   std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  // High timestamps only move forward; keep the max ever observed.
-  if (high > state.high_timestamp) {
-    state.high_timestamp = high;
-    state.high_observed_at_us = now;
-  }
-  state.last_contact_us = now;
-  ++state_version_;
+  RecordHighTimestampLocked(StateFor(node), high, clock_->NowMicros());
 }
 
-void Monitor::RecordConfig(uint64_t epoch, std::string_view primary) {
-  if (epoch == 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (epoch <= config_epoch_) {
-    return;  // Stale or already-known epoch.
+void Monitor::RecordConfigLocked(uint64_t epoch, std::string_view primary) {
+  if (epoch == 0 || epoch <= config_epoch_) {
+    return;  // Unconfigured, stale or already-known epoch.
   }
   config_epoch_ = epoch;
   config_primary_ = std::string(primary);
+}
+
+void Monitor::RecordConfig(uint64_t epoch, std::string_view primary) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordConfigLocked(epoch, primary);
 }
 
 Monitor::ConfigView Monitor::CurrentConfig() const {
@@ -61,10 +70,8 @@ Monitor::ConfigView Monitor::CurrentConfig() const {
   return ConfigView{config_epoch_, config_primary_};
 }
 
-void Monitor::RecordSuccess(std::string_view node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  state.outcomes.Record(clock_->NowMicros(), 1);
+void Monitor::RecordSuccessLocked(NodeState& state, MicrosecondCount now_us) {
+  state.outcomes.Record(now_us, 1);
   // Any answer closes the breaker: a half-open probation probe succeeded, or
   // the node recovered on its own before the cooldown ended.
   state.consecutive_failures = 0;
@@ -73,14 +80,16 @@ void Monitor::RecordSuccess(std::string_view node) {
   ++state_version_;
 }
 
-void Monitor::RecordFailure(std::string_view node) {
+void Monitor::RecordSuccess(std::string_view node) {
   std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  state.outcomes.Record(now, 0);
+  RecordSuccessLocked(StateFor(node), clock_->NowMicros());
+}
+
+void Monitor::RecordFailureLocked(NodeState& state, MicrosecondCount now_us) {
+  state.outcomes.Record(now_us, 0);
   // A failure is still contact for probing purposes: the prober keeps
   // checking for recovery at its normal cadence, not in a tight loop.
-  state.last_contact_us = now;
+  state.last_contact_us = now_us;
   ++state.total_samples;
   ++state_version_;
   if (options_.breaker_failure_threshold > 0) {
@@ -92,32 +101,40 @@ void Monitor::RecordFailure(std::string_view node) {
       if (!was_open) {
         ++breaker_trips_;
       }
-      state.breaker_open_until_us = now + options_.breaker_cooldown_us;
+      state.breaker_open_until_us = now_us + options_.breaker_cooldown_us;
     }
   }
+}
+
+void Monitor::RecordFailure(std::string_view node) {
+  std::lock_guard<std::mutex> lock(mu_);
+  RecordFailureLocked(StateFor(node), clock_->NowMicros());
+}
+
+void Monitor::RecordOverloadLocked(NodeState& state,
+                                   MicrosecondCount retry_after_us,
+                                   MicrosecondCount now_us) {
+  const MicrosecondCount backoff = retry_after_us > 0
+                                       ? retry_after_us
+                                       : options_.default_overload_backoff_us;
+  state.overloaded_until_us =
+      std::max(state.overloaded_until_us, now_us + backoff);
+  // The node answered (with a rejection), so this is contact — the prober
+  // need not also hammer it — but deliberately not a breaker-closing
+  // success: a half-open breaker should wait for a served reply.
+  state.last_contact_us = now_us;
+  ++overload_rejections_;
+  ++state_version_;
 }
 
 void Monitor::RecordOverload(std::string_view node,
                              MicrosecondCount retry_after_us) {
   std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
-  const MicrosecondCount now = clock_->NowMicros();
-  const MicrosecondCount backoff = retry_after_us > 0
-                                       ? retry_after_us
-                                       : options_.default_overload_backoff_us;
-  state.overloaded_until_us = std::max(state.overloaded_until_us, now + backoff);
-  // The node answered (with a rejection), so this is contact — the prober
-  // need not also hammer it — but deliberately not a breaker-closing
-  // success: a half-open breaker should wait for a served reply.
-  state.last_contact_us = now;
-  ++overload_rejections_;
-  ++state_version_;
+  RecordOverloadLocked(StateFor(node), retry_after_us, clock_->NowMicros());
 }
 
-void Monitor::RecordQueueDelay(std::string_view node,
-                               MicrosecondCount delay_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeState& state = StateFor(node);
+void Monitor::RecordQueueDelayLocked(NodeState& state,
+                                     MicrosecondCount delay_us) {
   const double alpha = options_.queue_delay_alpha;
   state.queue_delay_ewma_us =
       alpha * static_cast<double>(delay_us) +
@@ -126,24 +143,62 @@ void Monitor::RecordQueueDelay(std::string_view node,
   ++state_version_;
 }
 
-bool Monitor::IsOverloaded(std::string_view node) const {
+void Monitor::RecordQueueDelay(std::string_view node,
+                               MicrosecondCount delay_us) {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
-  return state != nullptr &&
-         clock_->NowMicros() < state->overloaded_until_us;
+  RecordQueueDelayLocked(StateFor(node), delay_us);
 }
 
-double Monitor::POverload(std::string_view node, double utility) const {
-  if (!IsOverloaded(node)) {
+void Monitor::RecordReply(std::string_view node,
+                          const ReplyEvidence& evidence) {
+  std::lock_guard<std::mutex> lock(mu_);
+  NodeState& state = StateFor(node);
+  const MicrosecondCount now = clock_->NowMicros();
+  if (evidence.rtt_us >= 0) {
+    RecordLatencyLocked(state, evidence.rtt_us, now);
+  }
+  RecordConfigLocked(evidence.config_epoch, evidence.config_primary);
+  switch (evidence.outcome) {
+    case ReplyEvidence::Outcome::kFailure:
+      RecordFailureLocked(state, now);
+      break;
+    case ReplyEvidence::Outcome::kSuccess:
+      RecordSuccessLocked(state, now);
+      break;
+    case ReplyEvidence::Outcome::kOverload:
+      RecordOverloadLocked(state, evidence.retry_after_us, now);
+      break;
+  }
+  if (evidence.has_progress) {
+    RecordHighTimestampLocked(state, evidence.high_timestamp, now);
+    RecordQueueDelayLocked(state, evidence.queue_delay_us);
+  }
+}
+
+bool Monitor::OverloadedLocked(const NodeState* state,
+                               MicrosecondCount now_us) {
+  return state != nullptr && now_us < state->overloaded_until_us;
+}
+
+bool Monitor::IsOverloaded(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OverloadedLocked(FindState(node), clock_->NowMicros());
+}
+
+double Monitor::POverloadFor(bool overloaded, double utility) const {
+  if (!overloaded) {
     return 1.0;
   }
   const double u = std::clamp(utility, 0.0, 1.0);
   return options_.overload_penalty + (1.0 - options_.overload_penalty) * u;
 }
 
-MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+double Monitor::POverload(std::string_view node, double utility) const {
+  return POverloadFor(IsOverloaded(node), utility);
+}
+
+MicrosecondCount Monitor::QueueDelayLocked(const NodeState* state,
+                                           MicrosecondCount now_us) const {
   if (state == nullptr) {
     return 0;
   }
@@ -152,13 +207,18 @@ MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
   }
   // No local evidence: use the fleet prior's queue delay, scaled down as the
   // prior ages so a dead aggregator's last digest fades to "no pressure".
-  const double k = PriorWeightLocked(*state, clock_->NowMicros());
+  const double k = PriorWeightLocked(*state, now_us);
   if (k <= 0.0) {
     return 0;
   }
   const double confidence = k / options_.prior_strength;  // In (0, 1].
   return static_cast<MicrosecondCount>(
       confidence * static_cast<double>(state->prior.queue_delay_us));
+}
+
+MicrosecondCount Monitor::QueueDelayUs(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return QueueDelayLocked(FindState(node), clock_->NowMicros());
 }
 
 Monitor::BreakerState Monitor::BreakerLocked(const NodeState* state,
@@ -215,24 +275,22 @@ double Monitor::PriorFractionBelow(const monitoring::NodeCondition& prior,
   return std::min(1.0, 0.99 + 0.01 * (l - p99) / std::max(1.0, p99));
 }
 
-double Monitor::PNodeUp(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+double Monitor::PNodeUpLocked(const NodeState* state,
+                              MicrosecondCount now_us) const {
   if (state == nullptr) {
     return 1.0;
   }
-  const MicrosecondCount now = clock_->NowMicros();
   // An open breaker overrides the windowed estimate: the node is known-bad
   // until the cooldown expires, however good its older samples look.
-  if (BreakerLocked(state, now) == BreakerState::kOpen) {
+  if (BreakerLocked(state, now_us) == BreakerState::kOpen) {
     return 0.0;
   }
   // Samples are 0 (failure) or 1 (success): the fraction strictly below 1 is
   // the failure rate. An empty window means no evidence: assume up.
-  const double m = static_cast<double>(state->outcomes.SampleCount(now));
+  const double m = static_cast<double>(state->outcomes.SampleCount(now_us));
   const double p_local =
-      1.0 - state->outcomes.FractionBelow(now, 1, /*empty_estimate=*/0.0);
-  const double k = PriorWeightLocked(*state, now);
+      1.0 - state->outcomes.FractionBelow(now_us, 1, /*empty_estimate=*/0.0);
+  const double k = PriorWeightLocked(*state, now_us);
   if (k <= 0.0) {
     return m > 0.0 ? p_local : 1.0;
   }
@@ -246,23 +304,26 @@ double Monitor::PNodeUp(std::string_view node) const {
   return (m * p_local + k * p_prior) / (m + k);
 }
 
-double Monitor::PNodeLat(std::string_view node,
-                         MicrosecondCount latency_us) const {
+double Monitor::PNodeUp(std::string_view node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+  return PNodeUpLocked(FindState(node), clock_->NowMicros());
+}
+
+double Monitor::PNodeLatLocked(const NodeState* state,
+                               MicrosecondCount latency_us,
+                               MicrosecondCount now_us) const {
   if (state == nullptr) {
     return options_.unknown_latency_estimate;
   }
-  const MicrosecondCount now = clock_->NowMicros();
-  const double n = static_cast<double>(state->latencies.SampleCount(now));
+  const double n = static_cast<double>(state->latencies.SampleCount(now_us));
   // A prior with sample_count == 0 carries no latency evidence (a node seen
   // by the fleet only via server self-reports): blend nothing from it.
-  double k = PriorWeightLocked(*state, now);
+  double k = PriorWeightLocked(*state, now_us);
   if (state->prior.sample_count == 0) {
     k = 0.0;
   }
   if (k <= 0.0) {
-    return state->latencies.FractionBelow(now, latency_us,
+    return state->latencies.FractionBelow(now_us, latency_us,
                                           options_.unknown_latency_estimate);
   }
   const double f_prior = PriorFractionBelow(state->prior, latency_us);
@@ -270,8 +331,39 @@ double Monitor::PNodeLat(std::string_view node,
     return f_prior;
   }
   const double f_local = state->latencies.FractionBelow(
-      now, latency_us, options_.unknown_latency_estimate);
+      now_us, latency_us, options_.unknown_latency_estimate);
   return (n * f_local + k * f_prior) / (n + k);
+}
+
+double Monitor::PNodeLat(std::string_view node,
+                         MicrosecondCount latency_us) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return PNodeLatLocked(FindState(node), latency_us, clock_->NowMicros());
+}
+
+void Monitor::GatherSelectionInputs(
+    std::span<SelectionInputs> inputs,
+    std::span<const MicrosecondCount> latency_bounds,
+    std::span<double> p_lat) const {
+  const size_t ranks = latency_bounds.size();
+  assert(p_lat.size() == inputs.size() * ranks);
+  std::lock_guard<std::mutex> lock(mu_);
+  const MicrosecondCount now = clock_->NowMicros();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SelectionInputs& in = inputs[i];
+    const NodeState* state = FindState(in.node);
+    in.known_high = KnownHighTimestampLocked(state, now);
+    in.queue_delay_us = QueueDelayLocked(state, now);
+    in.p_up = PNodeUpLocked(state, now);
+    in.overloaded = OverloadedLocked(state, now);
+    in.breaker = BreakerLocked(state, now);
+    in.mean_latency_us = MeanLatencyLocked(state, now);
+    for (size_t r = 0; r < ranks; ++r) {
+      const MicrosecondCount budget = std::max<MicrosecondCount>(
+          0, latency_bounds[r] - in.queue_delay_us);
+      p_lat[i * ranks + r] = PNodeLatLocked(state, budget, now);
+    }
+  }
 }
 
 bool Monitor::InstallDigest(const monitoring::ConditionDigest& digest) {
@@ -357,12 +449,11 @@ std::vector<monitoring::NodeCondition> Monitor::BuildReportConditions() const {
 
 double Monitor::PNodeCons(std::string_view node,
                           const Timestamp& min_read_timestamp) const {
-  return KnownHighTimestamp(node) >= min_read_timestamp ? 1.0 : 0.0;
+  return PNodeConsFor(KnownHighTimestamp(node), min_read_timestamp);
 }
 
-Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
+Timestamp Monitor::KnownHighTimestampLocked(const NodeState* state,
+                                            MicrosecondCount now_us) const {
   if (state == nullptr) {
     return Timestamp::Zero();
   }
@@ -372,8 +463,7 @@ Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
     // since we last heard from it. Scaled by prediction_rate so deployments
     // can be more or less aggressive; 1.0 assumes the node keeps perfect pace
     // with wall time (true for an idle primary's heartbeats).
-    const MicrosecondCount elapsed =
-        clock_->NowMicros() - state->high_observed_at_us;
+    const MicrosecondCount elapsed = now_us - state->high_observed_at_us;
     high.physical_us +=
         static_cast<MicrosecondCount>(options_.prediction_rate *
                                       static_cast<double>(elapsed));
@@ -381,13 +471,19 @@ Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
   return high;
 }
 
+Timestamp Monitor::KnownHighTimestamp(std::string_view node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return KnownHighTimestampLocked(FindState(node), clock_->NowMicros());
+}
+
+MicrosecondCount Monitor::MeanLatencyLocked(const NodeState* state,
+                                            MicrosecondCount now_us) {
+  return state == nullptr ? 0 : state->latencies.Mean(now_us);
+}
+
 MicrosecondCount Monitor::MeanLatency(std::string_view node) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const NodeState* state = FindState(node);
-  if (state == nullptr) {
-    return 0;
-  }
-  return state->latencies.Mean(clock_->NowMicros());
+  return MeanLatencyLocked(FindState(node), clock_->NowMicros());
 }
 
 std::vector<Monitor::NodeSnapshot> Monitor::Snapshot() const {

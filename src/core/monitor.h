@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,6 +131,35 @@ class Monitor {
   // EWMA that selection subtracts from each rank's latency budget.
   void RecordQueueDelay(std::string_view node, MicrosecondCount delay_us);
 
+  // Everything one reply (or transport failure) tells the monitor about the
+  // node it came from.
+  struct ReplyEvidence {
+    enum class Outcome {
+      kFailure,   // RecordFailure: no answer, or the node reported itself
+                  // unavailable.
+      kSuccess,   // RecordSuccess: any other answer.
+      kOverload,  // RecordOverload: a kOverloaded rejection.
+    };
+    // RecordLatency's sample; -1 records none.
+    MicrosecondCount rtt_us = -1;
+    Outcome outcome = Outcome::kSuccess;
+    MicrosecondCount retry_after_us = 0;  // kOverload only.
+    // RecordConfig's piggyback; epoch 0 records none.
+    uint64_t config_epoch = 0;
+    std::string_view config_primary;
+    // RecordHighTimestamp and RecordQueueDelay, for served replies.
+    bool has_progress = false;
+    Timestamp high_timestamp = Timestamp::Zero();
+    MicrosecondCount queue_delay_us = 0;
+  };
+
+  // One lock and one node lookup for what the single Record* calls above
+  // would record in this order: latency, config, outcome, high timestamp,
+  // queue delay. The state it leaves (state_version, total_samples and
+  // samples_recorded included) is what those calls leave at one clock
+  // reading.
+  void RecordReply(std::string_view node, const ReplyEvidence& evidence);
+
   // --- Fleet priors (DESIGN.md Section 12) ---
 
   // Installs a pushed fleet digest as this monitor's prior. Monotonic in
@@ -160,6 +190,10 @@ class Monitor {
   uint64_t state_version() const;
 
   // --- Probability estimates (Section 4.5) ---
+  //
+  // Each single-node query below takes the lock and reads the clock.
+  // Selection instead reads every replica in one GatherSelectionInputs pass;
+  // both go through the same formulas.
 
   double PNodeLat(std::string_view node, MicrosecondCount latency_us) const;
 
@@ -214,6 +248,37 @@ class Monitor {
   bool BreakerOpen(std::string_view node) const {
     return Breaker(node) == BreakerState::kOpen;
   }
+
+  // --- Batched reads for selection (Figure 8) ---
+
+  // What selection reads about one replica. Each field holds what the named
+  // single-node query would answer.
+  struct SelectionInputs {
+    std::string_view node;  // Set by the caller.
+    Timestamp known_high = Timestamp::Zero();      // KnownHighTimestamp
+    MicrosecondCount queue_delay_us = 0;           // QueueDelayUs
+    double p_up = 1.0;                             // PNodeUp
+    bool overloaded = false;                       // IsOverloaded
+    BreakerState breaker = BreakerState::kClosed;  // Breaker
+    MicrosecondCount mean_latency_us = 0;          // MeanLatency
+  };
+
+  // One locked pass at one clock reading. Fills every inputs[i] for the
+  // node the caller named in it, and for each latency bound r sets
+  //   p_lat[i * latency_bounds.size() + r] =
+  //       PNodeLat(node, max(0, latency_bounds[r] - queue_delay_us)),
+  // the rank's latency budget left once the node's queue has taken its
+  // share. `p_lat` holds inputs.size() * latency_bounds.size() entries.
+  void GatherSelectionInputs(std::span<SelectionInputs> inputs,
+                             std::span<const MicrosecondCount> latency_bounds,
+                             std::span<double> p_lat) const;
+
+  // PNodeCons and POverload over gathered inputs (no lock).
+  static double PNodeConsFor(const Timestamp& known_high,
+                             const Timestamp& min_read_timestamp) {
+    return known_high >= min_read_timestamp ? 1.0 : 0.0;
+  }
+  double POverloadFor(bool overloaded, double utility) const;
 
   // Point-in-time view of everything the monitor knows about one node:
   // windowed latency quantiles, the last-known high timestamp, reachability,
@@ -307,8 +372,34 @@ class Monitor {
         : latencies(window), outcomes(window) {}
   };
 
+  // The recording steps; the public Record* calls and RecordReply share
+  // them. Each bumps state_version_ as its public call documents.
+  void RecordLatencyLocked(NodeState& state, MicrosecondCount rtt_us,
+                           MicrosecondCount now_us);
+  void RecordHighTimestampLocked(NodeState& state, const Timestamp& high,
+                                 MicrosecondCount now_us);
+  void RecordConfigLocked(uint64_t epoch, std::string_view primary);
+  void RecordSuccessLocked(NodeState& state, MicrosecondCount now_us);
+  void RecordFailureLocked(NodeState& state, MicrosecondCount now_us);
+  void RecordOverloadLocked(NodeState& state, MicrosecondCount retry_after_us,
+                            MicrosecondCount now_us);
+  void RecordQueueDelayLocked(NodeState& state, MicrosecondCount delay_us);
+
+  // The estimates; the single-node queries and GatherSelectionInputs share
+  // them. `state` is null for a node never heard of.
   BreakerState BreakerLocked(const NodeState* state,
                              MicrosecondCount now_us) const;
+  double PNodeLatLocked(const NodeState* state, MicrosecondCount latency_us,
+                        MicrosecondCount now_us) const;
+  double PNodeUpLocked(const NodeState* state, MicrosecondCount now_us) const;
+  MicrosecondCount QueueDelayLocked(const NodeState* state,
+                                    MicrosecondCount now_us) const;
+  Timestamp KnownHighTimestampLocked(const NodeState* state,
+                                     MicrosecondCount now_us) const;
+  static bool OverloadedLocked(const NodeState* state,
+                               MicrosecondCount now_us);
+  static MicrosecondCount MeanLatencyLocked(const NodeState* state,
+                                            MicrosecondCount now_us);
 
   // Pseudo-sample count the node's prior is worth at `now_us`: zero when
   // absent or past prior_ttl_us, Options::prior_strength when brand new.

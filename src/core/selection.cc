@@ -5,42 +5,93 @@
 
 namespace pileus::core {
 
-double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
-                       const MinReadTimestampFn& min_read_timestamp,
-                       const Monitor& monitor) {
+namespace {
+
+// One rank's minimum acceptable read timestamp, asked for at most once and
+// only when a candidate needs it.
+class RankFloor {
+ public:
+  RankFloor(const MinReadTimestampFn& min_read_timestamp,
+            const Guarantee& guarantee)
+      : min_read_timestamp_(min_read_timestamp), guarantee_(guarantee) {}
+
+  const Timestamp& Get() {
+    if (!known_) {
+      value_ = min_read_timestamp_(guarantee_);
+      known_ = true;
+    }
+    return value_;
+  }
+
+ private:
+  const MinReadTimestampFn& min_read_timestamp_;
+  const Guarantee& guarantee_;
+  Timestamp value_;
+  bool known_ = false;
+};
+
+// PNodeSla * utility for one (subSLA, replica) pair, from the replica's
+// gathered inputs; `p_lat` is PNodeLat at the rank's queue-adjusted budget.
+double Utility(const SubSla& sub, bool authoritative,
+               const Monitor::SelectionInputs& in, double p_lat,
+               RankFloor& floor, const Monitor& monitor) {
   double p_cons;
   if (sub.consistency.RequiresAuthoritative()) {
     // Strong reads: only an authoritative copy qualifies, and it qualifies by
     // construction (it holds the latest committed data).
-    p_cons = replica.authoritative ? 1.0 : 0.0;
+    p_cons = authoritative ? 1.0 : 0.0;
   } else {
     // Authoritative copies satisfy every timestamp threshold.
-    p_cons = replica.authoritative
+    p_cons = authoritative
                  ? 1.0
-                 : monitor.PNodeCons(replica.name,
-                                     min_read_timestamp(sub.consistency));
+                 : Monitor::PNodeConsFor(in.known_high, floor.Get());
   }
   if (p_cons == 0.0) {
     return 0.0;
   }
-  // Server-reported queue delay eats into the rank's latency budget: a node
-  // whose admission queue is already worth 40 ms cannot meet a 50 ms rank
-  // unless its RTTs fit in the remaining 10 ms.
-  const MicrosecondCount budget =
-      std::max<MicrosecondCount>(0,
-                                 sub.latency_us -
-                                     monitor.QueueDelayUs(replica.name));
-  double util = p_cons * monitor.PNodeLat(replica.name, budget) *
-                monitor.PNodeUp(replica.name) * sub.utility;
+  // Server-reported queue delay has already eaten into the rank's latency
+  // budget in `p_lat`: a node whose admission queue is worth 40 ms cannot
+  // meet a 50 ms rank unless its RTTs fit in the remaining 10 ms.
+  double util = p_cons * p_lat * in.p_up * sub.utility;
   // Degradation ladder (DESIGN.md Section 11): while the node is shedding,
   // non-authoritative ranks are discounted in proportion to how early the
   // server would shed them, so low-utility reads re-route to secondaries or
   // the cache first. Strong reads keep their full value — only an
   // authoritative copy can serve them, and the server protects them longest.
   if (!sub.consistency.RequiresAuthoritative()) {
-    util *= monitor.POverload(replica.name, sub.utility);
+    util *= monitor.POverloadFor(in.overloaded, sub.utility);
   }
   return util;
+}
+
+double CacheUtility(const SubSla& sub, const CacheView& cached,
+                    RankFloor& floor) {
+  // Strong reads need an authoritative answer; a cached copy never is.
+  if (sub.consistency.RequiresAuthoritative()) {
+    return 0.0;
+  }
+  // Unlike a replica's monitored estimates, both factors are known facts:
+  // the entry invariant pins the cached staleness and the serve is local.
+  if (cached.high_timestamp < floor.Get()) {
+    return 0.0;
+  }
+  if (cached.latency_us > sub.latency_us) {
+    return 0.0;
+  }
+  return sub.utility;
+}
+
+}  // namespace
+
+double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
+                       const MinReadTimestampFn& min_read_timestamp,
+                       const Monitor& monitor) {
+  Monitor::SelectionInputs in;
+  in.node = replica.name;
+  double p_lat = 0.0;
+  monitor.GatherSelectionInputs({&in, 1}, {&sub.latency_us, 1}, {&p_lat, 1});
+  RankFloor floor(min_read_timestamp, sub.consistency);
+  return Utility(sub, replica.authoritative, in, p_lat, floor, monitor);
 }
 
 double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
@@ -56,19 +107,8 @@ double ExpectedUtility(const SubSla& sub, const ReplicaView& replica,
 
 double CacheExpectedUtility(const SubSla& sub, const CacheView& cached,
                             const MinReadTimestampFn& min_read_timestamp) {
-  // Strong reads need an authoritative answer; a cached copy never is.
-  if (sub.consistency.RequiresAuthoritative()) {
-    return 0.0;
-  }
-  // Unlike a replica's monitored estimates, both factors are known facts:
-  // the entry invariant pins the cached staleness and the serve is local.
-  if (cached.high_timestamp < min_read_timestamp(sub.consistency)) {
-    return 0.0;
-  }
-  if (cached.latency_us > sub.latency_us) {
-    return 0.0;
-  }
-  return sub.utility;
+  RankFloor floor(min_read_timestamp, sub.consistency);
+  return CacheUtility(sub, cached, floor);
 }
 
 SelectionResult SelectTarget(const Sla& sla,
@@ -118,60 +158,63 @@ SelectionResult SelectTarget(const Sla& sla,
     return result;
   }
 
-  // The cache pseudo-replica's best utility and the earliest rank reaching
-  // it. Its per-rank utility is deterministic (0 or sub.utility), so a
-  // strict > keeps the highest-ranked winning subSLA, mirroring Figure 8.
-  double cache_util = 0.0;
-  int cache_rank = -1;
-  if (cached != nullptr) {
-    for (size_t rank = 0; rank < sla.size(); ++rank) {
-      const double util =
-          CacheExpectedUtility(sla[rank], *cached, min_read_timestamp);
-      if (util > cache_util) {
-        cache_util = util;
-        cache_rank = static_cast<int>(rank);
-      }
-    }
+  // Everything Figure 8 reads from the monitor, in one locked pass: the
+  // per-replica estimates and PNodeLat at every rank's budget. The rest of
+  // the selection runs on these copies without the lock.
+  const size_t ranks = sla.size();
+  std::vector<Monitor::SelectionInputs> inputs(replicas.size());
+  std::vector<MicrosecondCount> latency_bounds(ranks);
+  std::vector<double> p_lat(replicas.size() * ranks);
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    inputs[i].node = replicas[i].name;
   }
-
-  if (replicas.empty()) {
-    // Degenerate but well-defined: the cache is the only copy in reach.
-    if (cache_rank >= 0) {
-      result.cache_selected = true;
-      result.target_rank = cache_rank;
-      result.expected_utility = cache_util;
-    }
-    return result;
+  for (size_t rank = 0; rank < ranks; ++rank) {
+    latency_bounds[rank] = sla[rank].latency_us;
   }
+  monitor.GatherSelectionInputs(inputs, latency_bounds, p_lat);
 
   // Replicas behind an open circuit breaker are excluded up front: their
   // PNodeUp is 0, so they can only ever tie at utility 0, and a zero-utility
   // retry should go to a replica that might answer. If *every* breaker is
   // open there is no better option, so the filter is waived.
-  std::vector<char> eligible(replicas.size(), 1);
+  const auto breaker_open = [&inputs](size_t i) {
+    return inputs[i].breaker == Monitor::BreakerState::kOpen;
+  };
+  bool skip_open_breakers = false;
   if (options.avoid_open_breaker) {
-    bool any_eligible = false;
     for (size_t i = 0; i < replicas.size(); ++i) {
-      eligible[i] = monitor.BreakerOpen(replicas[i].name) ? 0 : 1;
-      any_eligible = any_eligible || eligible[i] != 0;
-    }
-    if (!any_eligible) {
-      std::fill(eligible.begin(), eligible.end(), 1);
+      skip_open_breakers = skip_open_breakers || !breaker_open(i);
     }
   }
+  const auto eligible = [&](size_t i) {
+    return !skip_open_breakers || !breaker_open(i);
+  };
 
   // Figure 8: maxutil starts below any achievable utility so the first pair
-  // always becomes the initial candidate.
+  // always becomes the initial candidate. Alongside, the cache
+  // pseudo-replica's best utility and the earliest rank reaching it. Its
+  // per-rank utility is deterministic (0 or sub.utility), so a strict >
+  // keeps the highest-ranked winning subSLA, mirroring Figure 8.
   double maxutil = -1.0;
   std::vector<double> node_best(replicas.size(), -1.0);
-  for (size_t rank = 0; rank < sla.size(); ++rank) {
+  double cache_util = 0.0;
+  int cache_rank = -1;
+  for (size_t rank = 0; rank < ranks; ++rank) {
     const SubSla& sub = sla[rank];
+    RankFloor floor(min_read_timestamp, sub.consistency);
+    if (cached != nullptr) {
+      const double util = CacheUtility(sub, *cached, floor);
+      if (util > cache_util) {
+        cache_util = util;
+        cache_rank = static_cast<int>(rank);
+      }
+    }
     for (size_t i = 0; i < replicas.size(); ++i) {
-      if (eligible[i] == 0) {
+      if (!eligible(i)) {
         continue;
       }
-      const double util =
-          ExpectedUtility(sub, replicas[i], min_read_timestamp, monitor);
+      const double util = Utility(sub, replicas[i].authoritative, inputs[i],
+                                  p_lat[i * ranks + rank], floor, monitor);
       node_best[i] = std::max(node_best[i], util);
       if (util > maxutil) {
         maxutil = util;
@@ -188,6 +231,16 @@ SelectionResult SelectTarget(const Sla& sla,
       }
     }
   }
+
+  if (replicas.empty()) {
+    // Degenerate but well-defined: the cache is the only copy in reach.
+    if (cache_rank >= 0) {
+      result.cache_selected = true;
+      result.target_rank = cache_rank;
+      result.expected_utility = cache_util;
+    }
+    return result;
+  }
   result.expected_utility = std::max(maxutil, 0.0);
 
   // Tie-break among candidates.
@@ -195,11 +248,9 @@ SelectionResult SelectTarget(const Sla& sla,
   int chosen = result.candidates.front();
   switch (options.tie_break) {
     case TieBreak::kClosest: {
-      MicrosecondCount best_latency =
-          monitor.MeanLatency(replicas[chosen].name);
+      MicrosecondCount best_latency = inputs[chosen].mean_latency_us;
       for (int candidate : result.candidates) {
-        const MicrosecondCount lat =
-            monitor.MeanLatency(replicas[candidate].name);
+        const MicrosecondCount lat = inputs[candidate].mean_latency_us;
         if (lat < best_latency) {
           best_latency = lat;
           chosen = candidate;
@@ -214,10 +265,9 @@ SelectionResult SelectTarget(const Sla& sla,
       break;
     }
     case TieBreak::kFreshest: {
-      Timestamp best_high = monitor.KnownHighTimestamp(replicas[chosen].name);
+      Timestamp best_high = inputs[chosen].known_high;
       for (int candidate : result.candidates) {
-        const Timestamp high =
-            monitor.KnownHighTimestamp(replicas[candidate].name);
+        const Timestamp& high = inputs[candidate].known_high;
         if (high > best_high) {
           best_high = high;
           chosen = candidate;
@@ -232,7 +282,7 @@ SelectionResult SelectTarget(const Sla& sla,
   // parallel-Get fan-out. The single-node choice above used exact ties only.
   if (options.candidate_epsilon > 0.0) {
     for (size_t i = 0; i < replicas.size(); ++i) {
-      if (eligible[i] != 0 &&
+      if (eligible(i) &&
           node_best[i] >= maxutil - options.candidate_epsilon &&
           std::find(result.candidates.begin(), result.candidates.end(),
                     static_cast<int>(i)) == result.candidates.end()) {
@@ -251,8 +301,7 @@ SelectionResult SelectTarget(const Sla& sla,
               if (b == chosen) {
                 return false;
               }
-              return monitor.MeanLatency(replicas[a].name) <
-                     monitor.MeanLatency(replicas[b].name);
+              return inputs[a].mean_latency_us < inputs[b].mean_latency_us;
             });
 
   // Splice the cache pseudo-replica into the Figure 8 ordering: rank-major,

@@ -9,6 +9,12 @@
 // Figure 8: when a later pair merely *equals* the running maximum, the target
 // subSLA keeps its earlier (higher-ranked) value and only the candidate node
 // set grows.
+//
+// SelectTarget reads the monitor once per call, through
+// Monitor::GatherSelectionInputs (one lock and one clock reading for every
+// replica and rank), and asks for each rank's minimum read timestamp at
+// most once. Utilities, ties and the candidate order are then computed from
+// those copies.
 
 #ifndef PILEUS_SRC_CORE_SELECTION_H_
 #define PILEUS_SRC_CORE_SELECTION_H_

@@ -31,14 +31,19 @@ void HistogramMetric::Record(int64_t value) {
   }
   Shard& shard = shards_[ThisThreadShardIndex()];
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.histogram.Record(value);
+  if (shard.histogram == nullptr) {
+    shard.histogram = std::make_unique<Histogram>();
+  }
+  shard.histogram->Record(value);
 }
 
 Histogram HistogramMetric::Merged() const {
   Histogram merged;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    merged.Merge(shard.histogram);
+    if (shard.histogram != nullptr) {
+      merged.Merge(*shard.histogram);
+    }
   }
   return merged;
 }
@@ -46,7 +51,9 @@ Histogram HistogramMetric::Merged() const {
 void HistogramMetric::Reset() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.histogram.Reset();
+    if (shard.histogram != nullptr) {
+      shard.histogram->Reset();
+    }
   }
 }
 

@@ -99,7 +99,9 @@ class Gauge {
 
 // Distribution metric backed by util::Histogram. Record locks only this
 // thread's shard mutex (uncontended unless two threads hash together);
-// Merged() combines the shards on scrape.
+// Merged() combines the shards on scrape. A shard's Histogram (about 4 KB)
+// is created by its first Record, so a metric that one thread records into
+// holds one, not kMetricShards of them.
 class HistogramMetric {
  public:
   HistogramMetric(const HistogramMetric&) = delete;
@@ -117,7 +119,7 @@ class HistogramMetric {
 
   struct alignas(64) Shard {
     mutable std::mutex mu;
-    Histogram histogram;
+    std::unique_ptr<Histogram> histogram;  // Null until the first Record.
   };
 
   std::string name_;

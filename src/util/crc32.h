@@ -1,5 +1,6 @@
-// CRC-32 (IEEE 802.3 polynomial, table-driven). Used to validate write-ahead
-// log records and checkpoint files against torn writes and bit rot.
+// CRC-32 (IEEE 802.3 polynomial, slicing-by-8 tables). Used to validate
+// write-ahead log records, checkpoint files and wire frames against torn
+// writes and bit rot.
 
 #ifndef PILEUS_SRC_UTIL_CRC32_H_
 #define PILEUS_SRC_UTIL_CRC32_H_

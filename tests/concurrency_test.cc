@@ -74,6 +74,7 @@ TEST(ConcurrencyTest, MonitorSharedBetweenThreads) {
   std::atomic<bool> stop{false};
 
   // Writer threads feed evidence; reader threads query estimates.
+  const std::string names[] = {"node-0", "node-1", "node-2", "node-3"};
   std::vector<std::thread> threads;
   for (int w = 0; w < 3; ++w) {
     threads.emplace_back([&, w] {
@@ -88,6 +89,14 @@ TEST(ConcurrencyTest, MonitorSharedBetweenThreads) {
         } else {
           monitor.RecordSuccess(node);
         }
+        // The client's one-lock path for a whole reply.
+        core::Monitor::ReplyEvidence evidence;
+        evidence.rtt_us = 1000 + static_cast<int64_t>(rng.NextUint64(1000));
+        evidence.has_progress = true;
+        evidence.high_timestamp =
+            Timestamp{static_cast<int64_t>(rng.NextUint64(1 << 20)), 0};
+        evidence.queue_delay_us = static_cast<int64_t>(rng.NextUint64(500));
+        monitor.RecordReply(node, evidence);
       }
     });
   }
@@ -104,6 +113,19 @@ TEST(ConcurrencyTest, MonitorSharedBetweenThreads) {
         (void)monitor.KnownHighTimestamp(node);
         (void)monitor.MeanLatency(node);
         (void)monitor.NeedsProbe(node);
+        // Selection's one locked pass over every node.
+        core::Monitor::SelectionInputs inputs[4];
+        for (int i = 0; i < 4; ++i) {
+          inputs[i].node = names[i];
+        }
+        const MicrosecondCount bounds[] = {1500, 3000};
+        double p_lat[4 * 2];
+        monitor.GatherSelectionInputs(inputs, bounds, p_lat);
+        for (const double p : p_lat) {
+          if (p < 0.0 || p > 1.0) {
+            ADD_FAILURE() << "gathered estimate out of range";
+          }
+        }
       }
     });
   }

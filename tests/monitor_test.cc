@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/common/clock.h"
+#include "src/common/random.h"
 #include "src/core/monitor.h"
 
 namespace pileus::core {
@@ -463,6 +468,140 @@ TEST_F(MonitorTest, SnapshotReportsPriorFields) {
   EXPECT_EQ(snapshot[0].total_samples, 1u);
   EXPECT_TRUE(snapshot[0].has_prior);
   EXPECT_EQ(snapshot[0].prior_age_us, 2500);
+}
+
+// Applies `evidence` the way the client did before RecordReply existed: one
+// locked Record* call per piece, in RecordReply's documented order.
+void RecordSeparately(Monitor& monitor, std::string_view node,
+                      const Monitor::ReplyEvidence& evidence) {
+  if (evidence.rtt_us >= 0) {
+    monitor.RecordLatency(node, evidence.rtt_us);
+  }
+  monitor.RecordConfig(evidence.config_epoch, evidence.config_primary);
+  switch (evidence.outcome) {
+    case Monitor::ReplyEvidence::Outcome::kFailure:
+      monitor.RecordFailure(node);
+      break;
+    case Monitor::ReplyEvidence::Outcome::kSuccess:
+      monitor.RecordSuccess(node);
+      break;
+    case Monitor::ReplyEvidence::Outcome::kOverload:
+      monitor.RecordOverload(node, evidence.retry_after_us);
+      break;
+  }
+  if (evidence.has_progress) {
+    monitor.RecordHighTimestamp(node, evidence.high_timestamp);
+    monitor.RecordQueueDelay(node, evidence.queue_delay_us);
+  }
+}
+
+TEST_F(MonitorTest, RecordReplyLeavesTheStateOfTheSeparateCalls) {
+  Monitor batched(&clock_);
+  Monitor separate(&clock_);
+  Random rng(7);
+  const std::string nodes[] = {"a", "b", "c"};
+  const std::string primaries[] = {"a", "b"};
+  using Outcome = Monitor::ReplyEvidence::Outcome;
+  for (int step = 0; step < 2000; ++step) {
+    Monitor::ReplyEvidence evidence;
+    if (rng.NextBool(0.8)) {
+      evidence.rtt_us = rng.NextInt64InRange(0, 300000);
+    }
+    evidence.outcome = static_cast<Outcome>(rng.NextUint64(3));
+    evidence.retry_after_us =
+        rng.NextBool(0.5) ? rng.NextInt64InRange(1, 2000000) : 0;
+    if (rng.NextBool(0.3)) {
+      evidence.config_epoch = rng.NextUint64(20);
+      evidence.config_primary = primaries[rng.NextUint64(2)];
+    }
+    evidence.has_progress = rng.NextBool(0.6);
+    evidence.high_timestamp =
+        Timestamp{rng.NextInt64InRange(0, 1000000),
+                  static_cast<uint32_t>(rng.NextUint64(3))};
+    evidence.queue_delay_us = rng.NextInt64InRange(0, 50000);
+    const std::string& node = nodes[rng.NextUint64(3)];
+    batched.RecordReply(node, evidence);
+    RecordSeparately(separate, node, evidence);
+    clock_.AdvanceMicros(rng.NextInt64InRange(0, 20000));
+  }
+
+  EXPECT_EQ(batched.state_version(), separate.state_version());
+  EXPECT_EQ(batched.samples_recorded(), separate.samples_recorded());
+  EXPECT_EQ(batched.overload_rejections(), separate.overload_rejections());
+  EXPECT_EQ(batched.breaker_trips(), separate.breaker_trips());
+  EXPECT_EQ(batched.CurrentConfig().epoch, separate.CurrentConfig().epoch);
+  EXPECT_EQ(batched.CurrentConfig().primary,
+            separate.CurrentConfig().primary);
+  EXPECT_EQ(batched.BuildReportConditions(),
+            separate.BuildReportConditions());
+  const std::vector<Monitor::NodeSnapshot> got = batched.Snapshot();
+  const std::vector<Monitor::NodeSnapshot> want = separate.Snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(got[i].node);
+    EXPECT_EQ(got[i].node, want[i].node);
+    EXPECT_EQ(got[i].latency_samples, want[i].latency_samples);
+    EXPECT_EQ(got[i].mean_latency_us, want[i].mean_latency_us);
+    EXPECT_EQ(got[i].p99_latency_us, want[i].p99_latency_us);
+    EXPECT_EQ(got[i].high_timestamp, want[i].high_timestamp);
+    EXPECT_EQ(got[i].high_observed_at_us, want[i].high_observed_at_us);
+    EXPECT_EQ(got[i].last_contact_us, want[i].last_contact_us);
+    EXPECT_EQ(got[i].p_up, want[i].p_up);
+    EXPECT_EQ(got[i].breaker, want[i].breaker);
+    EXPECT_EQ(got[i].consecutive_failures, want[i].consecutive_failures);
+    EXPECT_EQ(got[i].overloaded, want[i].overloaded);
+    EXPECT_EQ(got[i].queue_delay_us, want[i].queue_delay_us);
+    EXPECT_EQ(got[i].total_samples, want[i].total_samples);
+    EXPECT_EQ(batched.QueueDelayUs(got[i].node),
+              separate.QueueDelayUs(got[i].node));
+  }
+}
+
+TEST_F(MonitorTest, GatheredInputsMatchSingleNodeQueries) {
+  Monitor::Options options;
+  options.predict_high_timestamp = true;
+  options.prediction_rate = 0.5;
+  Monitor monitor(&clock_, options);
+  for (int i = 0; i < 10; ++i) {
+    monitor.RecordLatency("busy", 1000 * (i + 1));
+  }
+  monitor.RecordQueueDelay("busy", 4000);
+  monitor.RecordHighTimestamp("busy", Timestamp{5000, 0});
+  monitor.RecordOverload("busy", 0);
+  monitor.RecordFailure("down");
+  monitor.RecordFailure("down");
+  monitor.RecordFailure("down");
+  clock_.AdvanceMicros(1000);
+
+  const MicrosecondCount bounds[] = {0, 3000, 9000, 20000};
+  Monitor::SelectionInputs inputs[3];
+  inputs[0].node = "busy";
+  inputs[1].node = "down";
+  inputs[2].node = "ghost";
+  double p_lat[3 * 4];
+  monitor.GatherSelectionInputs(inputs, bounds, p_lat);
+  for (size_t i = 0; i < 3; ++i) {
+    const Monitor::SelectionInputs& in = inputs[i];
+    SCOPED_TRACE(in.node);
+    EXPECT_EQ(in.known_high, monitor.KnownHighTimestamp(in.node));
+    EXPECT_EQ(in.queue_delay_us, monitor.QueueDelayUs(in.node));
+    EXPECT_EQ(in.p_up, monitor.PNodeUp(in.node));
+    EXPECT_EQ(in.overloaded, monitor.IsOverloaded(in.node));
+    EXPECT_EQ(in.breaker, monitor.Breaker(in.node));
+    EXPECT_EQ(in.mean_latency_us, monitor.MeanLatency(in.node));
+    for (size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(p_lat[i * 4 + r],
+                monitor.PNodeLat(in.node, std::max<MicrosecondCount>(
+                                              0, bounds[r] -
+                                                     in.queue_delay_us)));
+    }
+  }
+  EXPECT_EQ(inputs[0].queue_delay_us, 1200);  // 0.3 * 4000.
+  EXPECT_EQ(inputs[0].known_high.physical_us, 5500);  // 5000 + 0.5 * 1000.
+  EXPECT_TRUE(inputs[0].overloaded);
+  EXPECT_EQ(inputs[1].breaker, Monitor::BreakerState::kOpen);
+  EXPECT_EQ(inputs[1].p_up, 0.0);
+  EXPECT_EQ(p_lat[2 * 4 + 1], 1.0);  // Unknown node: optimistic.
 }
 
 }  // namespace

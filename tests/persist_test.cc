@@ -11,7 +11,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -99,6 +101,42 @@ TEST(Crc32Test, SeedContinuation) {
   const uint32_t whole = Crc32("hello world");
   const uint32_t split = Crc32(" world", Crc32("hello"));
   EXPECT_EQ(split, whole);
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  // The textbook one-byte-at-a-time loop over the 0xedb88320 table: the
+  // slicing-by-8 Crc32 must agree with it bit for bit, for every length,
+  // alignment and seed, since its value is on the wire and on disk.
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  const auto reference = [&table](std::string_view data, uint32_t seed) {
+    uint32_t crc = seed ^ 0xffffffffu;
+    for (const char ch : data) {
+      crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xff] ^ (crc >> 8);
+    }
+    return crc ^ 0xffffffffu;
+  };
+  std::mt19937_64 rng(2026);
+  std::string buffer(4096 + 16, '\0');
+  for (char& ch : buffer) {
+    ch = static_cast<char>(rng());
+  }
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t offset = rng() % 16;
+    const size_t length = trial < 64 ? static_cast<size_t>(trial)
+                                     : static_cast<size_t>(rng() % 4097);
+    const uint32_t seed = trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng());
+    const std::string_view data(buffer.data() + offset, length);
+    ASSERT_EQ(Crc32(data, seed), reference(data, seed))
+        << "offset " << offset << " length " << length << " seed " << seed;
+  }
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
 }
 
 // --- WriteAheadLog ---

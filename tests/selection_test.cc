@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/common/clock.h"
 #include "src/core/selection.h"
 
@@ -329,6 +335,288 @@ TEST_F(SelectionTest, MatchesBruteForceOracleOnRandomStates) {
     // different subSLA than the target - that is the paper's semantics.)
     ASSERT_GE(result.target_rank, 0);
   }
+}
+
+// --- Differential test: the batched monitor read changes no decision ---
+
+// Figure 8 written against the public single-node Monitor queries only, one
+// locked call per estimate. SelectTarget gathers the same estimates in one
+// locked pass; on a fixed clock both must decide identically, bit for bit.
+SelectionResult OracleSelect(const Sla& sla,
+                             const std::vector<ReplicaView>& replicas,
+                             const CacheView* cached, const Session& session,
+                             std::string_view key, MicrosecondCount now_us,
+                             const Monitor& monitor,
+                             const SelectionOptions& options, Random* rng) {
+  const auto floor = [&](const SubSla& sub) {
+    return session.MinReadTimestamp(sub.consistency, key, now_us);
+  };
+  const auto utility = [&](const SubSla& sub, const ReplicaView& replica) {
+    const bool strong = sub.consistency.RequiresAuthoritative();
+    const double p_cons =
+        replica.authoritative
+            ? 1.0
+            : (strong ? 0.0 : monitor.PNodeCons(replica.name, floor(sub)));
+    if (p_cons == 0.0) {
+      return 0.0;
+    }
+    const MicrosecondCount budget = std::max<MicrosecondCount>(
+        0, sub.latency_us - monitor.QueueDelayUs(replica.name));
+    double util = p_cons * monitor.PNodeLat(replica.name, budget) *
+                  monitor.PNodeUp(replica.name) * sub.utility;
+    if (!strong) {
+      util *= monitor.POverload(replica.name, sub.utility);
+    }
+    return util;
+  };
+
+  SelectionResult result;
+  double cache_util = 0.0;
+  int cache_rank = -1;
+  for (size_t rank = 0; cached != nullptr && rank < sla.size(); ++rank) {
+    const SubSla& sub = sla[rank];
+    const double util = !sub.consistency.RequiresAuthoritative() &&
+                                !(cached->high_timestamp < floor(sub)) &&
+                                cached->latency_us <= sub.latency_us
+                            ? sub.utility
+                            : 0.0;
+    if (util > cache_util) {
+      cache_util = util;
+      cache_rank = static_cast<int>(rank);
+    }
+  }
+  if (replicas.empty()) {
+    if (cache_rank >= 0) {
+      result.cache_selected = true;
+      result.target_rank = cache_rank;
+      result.expected_utility = cache_util;
+    }
+    return result;
+  }
+
+  std::vector<char> eligible(replicas.size(), 1);
+  if (options.avoid_open_breaker) {
+    bool any = false;
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      eligible[i] = monitor.BreakerOpen(replicas[i].name) ? 0 : 1;
+      any = any || eligible[i] != 0;
+    }
+    if (!any) {
+      std::fill(eligible.begin(), eligible.end(), 1);
+    }
+  }
+  const auto has = [&result](int i) {
+    return std::find(result.candidates.begin(), result.candidates.end(), i) !=
+           result.candidates.end();
+  };
+  double maxutil = -1.0;
+  std::vector<double> node_best(replicas.size(), -1.0);
+  for (size_t rank = 0; rank < sla.size(); ++rank) {
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (eligible[i] == 0) {
+        continue;
+      }
+      const double util = utility(sla[rank], replicas[i]);
+      node_best[i] = std::max(node_best[i], util);
+      if (util > maxutil) {
+        maxutil = util;
+        result.target_rank = static_cast<int>(rank);
+        result.candidates = {static_cast<int>(i)};
+      } else if (util == maxutil && !has(static_cast<int>(i))) {
+        result.candidates.push_back(static_cast<int>(i));
+      }
+    }
+  }
+  result.expected_utility = std::max(maxutil, 0.0);
+
+  int chosen = result.candidates.front();
+  for (int c : result.candidates) {
+    const std::string& a = replicas[c].name;
+    const std::string& b = replicas[chosen].name;
+    if ((options.tie_break == TieBreak::kClosest &&
+         monitor.MeanLatency(a) < monitor.MeanLatency(b)) ||
+        (options.tie_break == TieBreak::kFreshest &&
+         monitor.KnownHighTimestamp(a) > monitor.KnownHighTimestamp(b))) {
+      chosen = c;
+    }
+  }
+  if (options.tie_break == TieBreak::kRandom && rng != nullptr &&
+      result.candidates.size() > 1) {
+    chosen = result.candidates[rng->NextUint64(result.candidates.size())];
+  }
+  result.node_index = chosen;
+
+  if (options.candidate_epsilon > 0.0) {
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (eligible[i] != 0 &&
+          node_best[i] >= maxutil - options.candidate_epsilon &&
+          !has(static_cast<int>(i))) {
+        result.candidates.push_back(static_cast<int>(i));
+      }
+    }
+  }
+  std::sort(result.candidates.begin(), result.candidates.end(),
+            [&](int a, int b) {
+              if (a == chosen || b == chosen) {
+                return a == chosen && b != chosen;
+              }
+              return monitor.MeanLatency(replicas[a].name) <
+                     monitor.MeanLatency(replicas[b].name);
+            });
+
+  if (cache_rank >= 0 &&
+      (cache_util > maxutil ||
+       (cache_util == maxutil && cache_rank <= result.target_rank))) {
+    result.cache_selected = true;
+    result.target_rank = cache_rank;
+    result.expected_utility = cache_util;
+  }
+  return result;
+}
+
+TEST(SelectionDifferentialTest, BatchedReadDecidesLikeSingleNodeQueries) {
+  const std::vector<std::string> names = {"a", "b", "c", "d"};
+  const Sla slas[] = {
+      ShoppingCartSla(), PasswordCheckingSla(), WebApplicationSla(),
+      Sla()
+          .Add(Guarantee::Strong(), MillisecondsToMicroseconds(50), 1.0)
+          .Add(Guarantee::Causal(), MillisecondsToMicroseconds(100), 0.7)
+          .Add(Guarantee::Monotonic(), MillisecondsToMicroseconds(200), 0.4)
+          .Add(Guarantee::BoundedSeconds(5), MillisecondsToMicroseconds(400),
+               0.2)
+          .Add(Guarantee::Eventual(), SecondsToMicroseconds(1), 0.05)};
+  Random rng(17);
+  const auto between = [&rng](int64_t lo, int64_t hi) {
+    return rng.NextInt64InRange(lo, hi);
+  };
+  int cache_wins = 0;
+  int open_breakers = 0;
+  int half_open_breakers = 0;
+  int overloaded = 0;
+  int priors = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    ManualClock clock(kNow);
+    Monitor::Options monitor_options;
+    monitor_options.latency_window.window_us = SecondsToMicroseconds(30);
+    monitor_options.predict_high_timestamp = rng.NextBool(0.3);
+    monitor_options.prediction_rate = 0.25 + rng.NextDouble();
+    monitor_options.breaker_failure_threshold =
+        static_cast<int>(rng.NextUint64(4));
+    monitor_options.breaker_cooldown_us = SecondsToMicroseconds(5);
+    Monitor monitor(&clock, monitor_options);
+    Session session(ShoppingCartSla());
+
+    // A fleet digest installed a little in the past, covering some nodes.
+    if (rng.NextBool(0.4)) {
+      monitoring::ConditionDigest digest;
+      digest.version = 1;
+      for (const std::string& name : names) {
+        if (!rng.NextBool(0.6)) {
+          continue;
+        }
+        monitoring::NodeCondition cond;
+        cond.node = name;
+        cond.sample_count = rng.NextBool(0.8) ? rng.NextUint64(100) : 0;
+        cond.p50_latency_us = between(1000, 200000);
+        cond.p95_latency_us = cond.p50_latency_us + between(0, 200000);
+        cond.p99_latency_us = cond.p95_latency_us + between(0, 200000);
+        cond.high_timestamp = Timestamp{kNow - between(0, 20000000), 0};
+        cond.high_age_us = rng.NextBool(0.8) ? between(0, 5000000) : -1;
+        cond.p_up = rng.NextDouble();
+        cond.queue_delay_us = rng.NextBool(0.5) ? between(0, 100000) : 0;
+        digest.nodes.push_back(cond);
+      }
+      monitor.InstallDigest(digest);
+      ++priors;
+    }
+    // Local evidence, spread over the last minute so some samples age out
+    // of the 30 s window.
+    for (const std::string& name : names) {
+      if (rng.NextBool(0.2)) {
+        continue;  // Never heard of: every estimate takes its default.
+      }
+      const int samples = static_cast<int>(rng.NextUint64(20));
+      for (int s = 0; s < samples; ++s) {
+        clock.AdvanceMicros(between(0, 3000000));
+        monitor.RecordLatency(name, between(500, 500000));
+      }
+      if (rng.NextBool(0.8)) {
+        monitor.RecordHighTimestamp(
+            name, Timestamp{kNow + between(-30000000, 30000000), 0});
+      }
+      if (rng.NextBool(0.4)) {
+        monitor.RecordQueueDelay(name, between(0, 150000));
+      }
+      const int failures = static_cast<int>(rng.NextUint64(5));
+      for (int f = 0; f < failures; ++f) {
+        monitor.RecordFailure(name);
+      }
+      if (rng.NextBool(0.3)) {
+        monitor.RecordSuccess(name);
+      }
+    }
+    // Moving on 0-8 s puts some breakers past their cooldown (half-open)
+    // and ages the prior. Overload windows open now, and the last step puts
+    // some of them behind us.
+    clock.AdvanceMicros(between(0, 8000000));
+    for (const std::string& name : names) {
+      if (rng.NextBool(0.3)) {
+        monitor.RecordOverload(name,
+                               rng.NextBool(0.5) ? between(1, 2000000) : 0);
+      }
+    }
+    clock.AdvanceMicros(between(0, 1000000));
+    const MicrosecondCount now = clock.NowMicros();
+    if (rng.NextBool(0.6)) {
+      session.RecordPut("k", Timestamp{now - between(0, 40000000), 0});
+    }
+    if (rng.NextBool(0.6)) {
+      session.RecordGet("k", Timestamp{now - between(0, 40000000), 0});
+    }
+
+    std::vector<ReplicaView> replicas;
+    const size_t count = rng.NextUint64(names.size() + 1);
+    for (size_t i = 0; i < count; ++i) {
+      replicas.push_back(ReplicaView{names[i], rng.NextBool(0.3)});
+    }
+    for (const ReplicaView& replica : replicas) {
+      const Monitor::BreakerState breaker = monitor.Breaker(replica.name);
+      open_breakers += breaker == Monitor::BreakerState::kOpen;
+      half_open_breakers += breaker == Monitor::BreakerState::kHalfOpen;
+      overloaded += monitor.IsOverloaded(replica.name);
+    }
+    std::optional<CacheView> cache;
+    if (rng.NextBool(0.5)) {
+      cache = CacheView{Timestamp{now - between(0, 40000000), 0},
+                        rng.NextBool(0.8) ? 0 : between(0, 500000)};
+    }
+    SelectionOptions options;
+    options.tie_break = static_cast<TieBreak>(rng.NextUint64(3));
+    options.candidate_epsilon = rng.NextBool(0.5) ? rng.NextDouble() : 0.0;
+    options.avoid_open_breaker = rng.NextBool(0.8);
+    const Sla& sla = slas[rng.NextUint64(std::size(slas))];
+    const CacheView* cached = cache ? &*cache : nullptr;
+
+    Random rng_a(static_cast<uint64_t>(trial));
+    Random rng_b(static_cast<uint64_t>(trial));
+    const SelectionResult got = SelectTarget(
+        sla, replicas, cached, session, "k", now, monitor, options, &rng_a);
+    const SelectionResult want = OracleSelect(
+        sla, replicas, cached, session, "k", now, monitor, options, &rng_b);
+    ASSERT_EQ(got.target_rank, want.target_rank) << "trial " << trial;
+    ASSERT_EQ(got.node_index, want.node_index) << "trial " << trial;
+    ASSERT_EQ(got.cache_selected, want.cache_selected) << "trial " << trial;
+    ASSERT_EQ(got.expected_utility, want.expected_utility)
+        << "trial " << trial;
+    ASSERT_EQ(got.candidates, want.candidates) << "trial " << trial;
+    cache_wins += got.cache_selected;
+  }
+  // The random states reached every branch the batched pass replaced.
+  EXPECT_GT(cache_wins, 100);
+  EXPECT_GT(open_breakers, 100);
+  EXPECT_GT(half_open_breakers, 100);
+  EXPECT_GT(overloaded, 100);
+  EXPECT_GT(priors, 100);
 }
 
 // --- The client cache as a zero-RTT pseudo-replica ---

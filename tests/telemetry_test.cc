@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -156,6 +157,54 @@ TEST(MetricsRegistryTest, ConcurrentRecordingIsExact) {
             static_cast<uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(histogram->Merged().count(),
             static_cast<uint64_t>(kThreads) * (kPerThread / 100));
+}
+
+TEST(MetricsRegistryTest, NeverRecordedHistogramExportsAsEmpty) {
+  // Shards are created by their first Record; an untouched metric must
+  // still export as an empty distribution in every format.
+  MetricsRegistry registry;
+  HistogramMetric* histogram = registry.GetHistogram("idle_us");
+  EXPECT_EQ(histogram->Merged().count(), 0u);
+  histogram->Reset();
+  EXPECT_EQ(ExportPrometheus(registry),
+            "# TYPE idle_us histogram\n"
+            "idle_us_bucket{le=\"+Inf\"} 0\n"
+            "idle_us_sum 0\n"
+            "idle_us_count 0\n");
+  EXPECT_EQ(ExportJson(registry),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{\"idle_us\":"
+            "{\"count\":0,\"mean\":0.000,\"min\":0,\"max\":0,"
+            "\"p50\":0,\"p95\":0,\"p99\":0,\"buckets\":[]}}}");
+  char line[256];
+  std::snprintf(line, sizeof(line), "  %-58s %s\n", "idle_us",
+                Histogram().Summary().c_str());
+  EXPECT_EQ(ExportSummary(registry), std::string("histograms:\n") + line);
+}
+
+TEST(MetricsRegistryTest, ConcurrentFirstRecordsAreExact) {
+  // Every thread's first Record races to create its shard's histogram; none
+  // may be lost or double-created. Run under TSan in CI.
+  for (int round = 0; round < 20; ++round) {
+    MetricsRegistry registry;
+    HistogramMetric* histogram = registry.GetHistogram("first_us");
+    constexpr int kThreads = 2 * kMetricShards;
+    constexpr int kPerThread = 50;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([histogram, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          histogram->Record(t);
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    const Histogram merged = histogram->Merged();
+    EXPECT_EQ(merged.count(), static_cast<uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(merged.max(), kThreads - 1);
+  }
 }
 
 TEST(ExportTest, PrometheusCountersAndGaugesGolden) {
